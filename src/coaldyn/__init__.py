@@ -27,7 +27,7 @@ if _threads:
 del _os, _threads
 
 from .benefits import BenefitFunction
-from .errors import CapacityError, CoaldynError, ConfigError, NonConvergenceError
+from .errors import CapacityError, CoaldynError, ConfigError, NonConvergenceError, ReducibleChainError
 from .game import (
     EffectiveShares,
     GameParams,
@@ -85,6 +85,7 @@ __all__ = [
     "MonteCarloResult",
     "NonConvergenceError",
     "PopulationState",
+    "ReducibleChainError",
     "SelectionGradient",
     "StateClass",
     "StateIndex",

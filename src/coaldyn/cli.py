@@ -1,8 +1,9 @@
 """Command-line entry point: ``coaldyn run <config> [overrides]``.
 
-Exit codes: 0 success, 2 configuration problems, 3 capacity limits,
-4 solver non-convergence.  Each failure prints a single machine-parsable
-line ``error: <category>: <reason>`` to stderr.
+Exit codes: 0 success, 2 configuration problems (a ``mu`` that leaves the
+chain reducible among them), 3 capacity limits, 4 solver non-convergence.
+Each failure prints a single machine-parsable line
+``error: <category>: <reason>`` to stderr.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     from .config import load_config
-    from .errors import CapacityError, ConfigError, NonConvergenceError
+    from .errors import CapacityError, ConfigError, NonConvergenceError, ReducibleChainError
     from .experiments import run_experiment
 
     formats = None
@@ -52,7 +53,7 @@ def main(argv=None) -> int:
             experiment=args.experiment,
         )
         manifest = run_experiment(cfg)
-    except ConfigError as exc:
+    except (ConfigError, ReducibleChainError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:

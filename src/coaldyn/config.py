@@ -16,6 +16,7 @@ from pathlib import Path
 from .benefits import BenefitFunction
 from .errors import ConfigError
 from .game import GameParams
+from .markov import literal_row_sum_max
 
 EXPERIMENTS = (
     "field",
@@ -57,7 +58,7 @@ class ExperimentConfig:
     steps: int = 1_000_000
     burn_in: int = 0
     mutation_form: str = "scaled"
-    method: str = "power"
+    method: str = "levels"
     z_pair: tuple[int, int] = (100, 50)
     group_size: int = 25
     y_slice: float = 0.5
@@ -77,12 +78,22 @@ class ExperimentConfig:
             raise ConfigError("values must list at least one sweep value")
         if self.mutation_form not in ("scaled", "literal"):
             raise ConfigError(f"mutation_form must be 'scaled' or 'literal', got {self.mutation_form!r}")
-        if self.method not in ("power", "direct"):
-            raise ConfigError(f"method must be 'power' or 'direct', got {self.method!r}")
+        if self.method not in ("levels", "direct", "power"):
+            raise ConfigError(
+                f"method must be 'levels', 'direct' or 'power', got {self.method!r}"
+            )
         if self.experiment == "montecarlo" and self.mutation_form == "literal":
             raise ConfigError(
                 "the individual-based simulator realizes the scaled mutation form only"
             )
+        if self.mutation_form == "literal":
+            out_mass = literal_row_sum_max(self.params.z, self.params.mu)
+            if out_mass > 1.0 + 1e-12:
+                raise ConfigError(
+                    f"literal mutation form needs row sums <= 1, but mu = {self.params.mu:g} "
+                    f"at z = {self.params.z} reaches {out_mass:.4f}; "
+                    "use mutation_form = scaled or reduce mu"
+                )
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if not 0 <= self.burn_in < self.steps:

@@ -23,3 +23,7 @@ class NonConvergenceError(CoaldynError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+
+
+class ReducibleChainError(CoaldynError, ValueError):
+    """The chain is not irreducible, so it has no unique stationary law."""

@@ -26,7 +26,6 @@ from .game import GameParams, PopulationState, effective_shares, group_size
 from .informed import informed_field, marginal_gains, classify_state
 from .markov import MarkovModel, StateIndex, _summarize, build_chain, monte_carlo, selection_gradient, stationary
 from .replicator import find_fixed_points, flow_field, information_cost, mean_return, replicator_field
-from .sampling import fitness_at
 from .svg import simplex_svg
 
 

@@ -127,8 +127,7 @@ def _payoff_vectors(params: GameParams, n: int):
     return pi_c, pi_d, pi_o, produced
 
 
-@lru_cache(maxsize=1 << 20)
-def _fitness_raw(params: GameParams, i_c: int, i_d: int, n_override):
+def _fitness_formula(params: GameParams, i_c: int, i_d: int, n_override):
     """Formula fitness values, or None where the averaging formula is undefined.
 
     f_c needs a focal cooperator (i_c >= 1), f_d a focal defector
@@ -168,6 +167,9 @@ def _fitness_raw(params: GameParams, i_c: int, i_d: int, n_override):
     return f_c, f_d, f_o
 
 
+_fitness_raw = lru_cache(maxsize=1 << 20)(_fitness_formula)
+
+
 def fitness_at(
     params: GameParams, i_c: int, i_d: int, n_override: int | None = None
 ) -> FitnessTriple:
@@ -178,11 +180,22 @@ def fitness_at(
     `n_override` pins the working-group size instead of deriving it
     from the coalition size (used for matched-group comparisons).
     """
+    return _fitness_triple(params, i_c, i_d, n_override, _fitness_raw)
+
+
+def _fitness_triple(params: GameParams, i_c: int, i_d: int, n_override,
+                    formula) -> FitnessTriple:
+    """`fitness_at` with the formula evaluator passed in.
+
+    Callers that visit every composition once pass the uncached
+    `_fitness_formula`, so they do not fill the memo with entries that are
+    never read again.
+    """
     if i_c < 0 or i_d < 0 or i_c + i_d > params.z:
         raise ValueError(f"composition ({i_c}, {i_d}) invalid for z={params.z}")
     if n_override is not None and n_override < 2:
         raise ValueError(f"group-size override must be >= 2, got {n_override}")
-    f_c, f_d, f_o = _fitness_raw(params, i_c, i_d, n_override)
+    f_c, f_d, f_o = formula(params, i_c, i_d, n_override)
     i_o = params.z - i_c - i_d
     return FitnessTriple(
         f_c=f_c if f_c is not None else 0.0,

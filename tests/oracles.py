@@ -211,3 +211,32 @@ def stationary_by_squaring(dense: np.ndarray, doublings: int = 60) -> np.ndarray
         P = P @ P
         P /= P.sum(axis=1, keepdims=True)
     return P[0].copy()
+
+
+def stationary_exact(dense: np.ndarray) -> list[Fraction]:
+    """Exact stationary vector of a float transition matrix, as Fractions.
+
+    Every float off-diagonal entry is taken at its exact binary value and
+    each diagonal entry is one minus its row's off-diagonal sum, so the rows
+    sum to one exactly.  pi (I - T) = 0 is then solved by Gaussian
+    elimination over Fractions in the given state order: for an irreducible
+    chain all leading pivots but the last are positive, so no pivoting is
+    needed, and back-substitution from pi[-1] = 1 gives pi exactly.
+    """
+    n = dense.shape[0]
+    T = [[Fraction(float(v)) for v in row] for row in dense]
+    for i in range(n):
+        T[i][i] = 1 - sum(T[i][j] for j in range(n) if j != i)
+    # Row t of A is column t of I - T: A pi^T = 0.
+    A = [[(1 if s == t else 0) - T[s][t] for s in range(n)] for t in range(n)]
+    for col in range(n - 1):
+        for r in range(col + 1, n):
+            if A[r][col] != 0:
+                f = A[r][col] / A[col][col]
+                A[r] = [vr - f * vc for vr, vc in zip(A[r], A[col])]
+    pi = [Fraction(0)] * n
+    pi[-1] = Fraction(1)
+    for r in range(n - 2, -1, -1):
+        pi[r] = -sum(A[r][c] * pi[c] for c in range(r + 1, n)) / A[r][r]
+    total = sum(pi)
+    return [p / total for p in pi]

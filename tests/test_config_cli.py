@@ -131,6 +131,16 @@ def test_simulator_rejects_literal_mutation_form(tmp_path):
         load_config(write_cfg(tmp_path, text))
 
 
+def test_method_defaults_to_levels_and_is_checked(tmp_path):
+    assert load_config(write_cfg(tmp_path)).method == "levels"
+    for method in ("levels", "direct", "power"):
+        text = BASE.replace("name = stationary", f"name = stationary\nmethod = {method}")
+        assert load_config(write_cfg(tmp_path, text)).method == method
+    text = BASE.replace("name = stationary", "name = stationary\nmethod = magic")
+    with pytest.raises(ConfigError, match="'levels', 'direct' or 'power'"):
+        load_config(write_cfg(tmp_path, text))
+
+
 def test_z_pair_needs_two_entries(tmp_path):
     text = BASE.replace("name = stationary", "name = s1-compare\nz_pair = 20")
     with pytest.raises(ConfigError, match="z_pair"):
@@ -353,6 +363,28 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
     assert code == 2
     assert captured.err.startswith("error: config:")
     assert "thetta" in captured.err
+
+
+def test_cli_literal_overflow_is_a_config_error(tmp_path, capsys):
+    text = BASE.replace("mu = 0.05", "mu = 0.9").replace(
+        "name = stationary", "name = stationary\nmutation_form = literal")
+    code = main(["run", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: config:")
+    assert "literal mutation form" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mu, reason", [("5e-324", "not strongly connected"), ("0", "mu > 0")])
+def test_cli_reducible_chain_is_a_config_error(tmp_path, capsys, mu, reason):
+    # 5e-324 / 2 underflows to zero, so mutation cannot leave the all-outsider state.
+    text = BASE.replace("mu = 0.05", f"mu = {mu}")
+    code = main(["run", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: config:")
+    assert reason in captured.err
 
 
 def test_cli_capacity_error_exit_three(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Composition chain: structure, solvers, and drift field.
 
-The solver checks lean on three independent oracles from ``oracles.py``:
-an exact rational solve of the neutral chain, stationary distributions by
-repeated squaring of the dense matrix, and the detailed-balance closed
-form for birth--death chains.
+The solver checks lean on four independent oracles from ``oracles.py``:
+an exact rational solve of the neutral chain, an exact rational solve of
+any small float chain, stationary distributions by repeated squaring of
+the dense matrix, and the detailed-balance closed form for birth--death
+chains.  The sparse LU solve is a fifth, for chains too large for those.
 """
 
 import math
@@ -18,6 +19,7 @@ from coaldyn import (
     CapacityError,
     GameParams,
     NonConvergenceError,
+    ReducibleChainError,
     build_chain,
     imitation_probability,
     monte_carlo,
@@ -31,10 +33,11 @@ from coaldyn.markov import (
     _direct_solve,
     _power_iteration,
     fitness_tables,
+    literal_row_sum_max,
 )
 from coaldyn.sampling import fitness_at
 
-from oracles import birth_death_pi, neutral_chain_exact, stationary_by_squaring
+from oracles import birth_death_pi, neutral_chain_exact, stationary_by_squaring, stationary_exact
 
 SIGMOID = BenefitFunction.sigmoid()
 
@@ -142,6 +145,22 @@ def test_literal_form_overflows_at_large_mu():
         build_chain(params(10, mu=0.5), mutation_form="literal")
 
 
+@pytest.mark.parametrize("z", [4, 5, 10, 11])
+def test_literal_row_sum_bound_is_attained(z):
+    """The closed-form bound is the largest out-mass the literal build produces."""
+    for mu in (0.0, 0.01, 0.05, 0.2):
+        model = build_chain(params(z, mu=mu, beta=0.7, alpha=2.0), mutation_form="literal")
+        out_mass = model.move_probs.sum(axis=1).max()
+        assert out_mass == pytest.approx(literal_row_sum_max(z, mu), rel=0, abs=1e-14)
+    assert literal_row_sum_max(z, 0.5) > 1.0
+
+
+def test_underflowing_mutation_leaves_the_chain_reducible():
+    # mu / 2 rounds to zero, so nothing leaves the all-outsider state.
+    with pytest.raises(ReducibleChainError, match="not strongly connected"):
+        build_chain(params(10, mu=5e-324))
+
+
 def test_unknown_mutation_form_rejected():
     with pytest.raises(ValueError, match="mutation_form"):
         build_chain(params(10), mutation_form="fancy")
@@ -197,12 +216,14 @@ def test_neutral_chain_matches_exact_rational_solve():
     states, pi_exact = neutral_chain_exact(z, mu)
     assert states == [model.index.state_of(s) for s in range(model.n_states)]
 
-    power = stationary(model, tol=1e-12)
+    power = stationary(model, tol=1e-12, method="power")
     direct = stationary(model, method="direct")
+    levels = stationary(model)
     assert np.max(np.abs(power.pi - pi_exact)) < 1e-9
     assert np.max(np.abs(direct.pi - pi_exact)) < 1e-12
-    assert power.method == "power" and direct.method == "direct"
-    assert power.iterations > 0 and direct.iterations == 0
+    assert np.max(np.abs(levels.pi - pi_exact)) < 1e-12
+    assert (power.method, direct.method, levels.method) == ("power", "direct", "levels")
+    assert power.iterations > 0 and direct.iterations == 0 and levels.iterations == 0
 
 
 def test_neutral_stationary_is_strategy_exchangeable():
@@ -225,11 +246,41 @@ def test_selective_chain_matches_repeated_squaring():
     model = build_chain(params(8, beta=0.5, mu=0.08, alpha=3.0))
     dense = model.transitions.toarray()
     pi_sq = stationary_by_squaring(dense)
-    power = stationary(model, tol=1e-12)
+    power = stationary(model, tol=1e-12, method="power")
     direct = stationary(model, method="direct")
+    levels = stationary(model)
     assert np.max(np.abs(power.pi - pi_sq)) < 1e-7
     assert np.max(np.abs(direct.pi - pi_sq)) < 1e-7
+    assert np.max(np.abs(levels.pi - pi_sq)) < 1e-7
     assert np.max(np.abs(power.pi - direct.pi)) < 1e-9
+
+
+@pytest.mark.parametrize("z", [60, 100])
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0, 8.0])
+def test_level_solve_matches_sparse_lu(z, alpha):
+    model = build_chain(params(z, mu=0.01, beta=0.1, alpha=alpha))
+    levels = stationary(model)
+    direct = stationary(model, method="direct")
+    assert 0.5 * np.abs(levels.pi - direct.pi).sum() <= 1e-12
+    assert levels.residual < 1e-15
+
+
+def test_level_solve_on_literal_form():
+    model = build_chain(params(16, mu=0.02, beta=0.4, alpha=3.0), mutation_form="literal")
+    levels = stationary(model)
+    direct = stationary(model, method="direct")
+    assert 0.5 * np.abs(levels.pi - direct.pi).sum() <= 1e-12
+
+
+def test_level_solve_is_entrywise_accurate_on_a_selective_chain():
+    """pi spans 18 orders of magnitude here.  The level solve matches the exact
+    rational stationary vector of the same float chain to 1e-9 relative in
+    every entry (measured 9e-16); sparse LU manages 7e-8 on the smallest."""
+    model = build_chain(params(10, g_m=0.2, mu=1e-9, beta=5.0, alpha=2.0))
+    exact = np.array([float(v) for v in stationary_exact(model.transitions.toarray())])
+    assert exact.min() < 1e-17 * exact.max()
+    pi = stationary(model).pi
+    assert np.max(np.abs(pi - exact) / exact) < 1e-9
 
 
 def test_solvers_on_birth_death_ladder():
@@ -251,7 +302,7 @@ def test_solvers_on_birth_death_ladder():
     t = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
     pi_closed = birth_death_pi(up, down)
 
-    pi_pow, resid, _iters = _power_iteration(t.T.tocsr(), 1e-13, 1_000_000, True)
+    pi_pow, resid, _iters = _power_iteration(t.T.tocsr(), 1e-13, 1_000_000)
     pi_dir = _direct_solve(t)
     assert resid < 1e-13
     assert np.max(np.abs(pi_pow - pi_closed)) < 1e-10
@@ -260,7 +311,7 @@ def test_solvers_on_birth_death_ladder():
 
 def test_two_state_symmetric_chain():
     t = sparse.csr_matrix(np.array([[0.7, 0.3], [0.3, 0.7]]))
-    pi_pow, _resid, _ = _power_iteration(t.T.tocsr(), 1e-14, 10_000, False)
+    pi_pow, _resid, _ = _power_iteration(t.T.tocsr(), 1e-14, 10_000)
     np.testing.assert_allclose(pi_pow, [0.5, 0.5], rtol=0, atol=1e-13)
     np.testing.assert_allclose(_direct_solve(t), [0.5, 0.5], rtol=0, atol=1e-14)
 
@@ -274,7 +325,7 @@ def test_stationary_requires_mutation():
 def test_power_iteration_raises_on_cap():
     model = build_chain(params(20, mu=0.01, beta=0.1, alpha=2.0))
     with pytest.raises(NonConvergenceError) as err:
-        stationary(model, tol=1e-12, max_iter=5, accelerate=False)
+        stationary(model, tol=1e-12, max_iter=5, method="power")
     assert err.value.iterations == 5
     assert err.value.residual > 0.0
 
