@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -23,8 +24,10 @@ from . import __version__
 from .config import ExperimentConfig
 from .errors import ConfigError
 from .game import GameParams, PopulationState, effective_shares, group_size
-from .informed import informed_field, marginal_gains, classify_state
-from .markov import MarkovModel, StateIndex, _summarize, build_chain, monte_carlo, selection_gradient, stationary
+from .informed import gains_on_grid, informed_field, informed_field_grid
+# Not called here, but perfbench/tracing.py wraps these names on this module.
+from .informed import classify_state, marginal_gains  # noqa: F401
+from .markov import StateIndex, _summarize, build_chain, monte_carlo, selection_gradient, stationary
 from .replicator import find_fixed_points, flow_field, information_cost, mean_return, replicator_field
 from .svg import simplex_svg
 
@@ -32,6 +35,8 @@ from .svg import simplex_svg
 # --- deterministic emission ---------------------------------------------
 
 def _fmt_cell(value) -> str:
+    if type(value) is float:  # the common case, first
+        return repr(value)
     if value is None:
         return "nan"
     if isinstance(value, str):
@@ -45,7 +50,7 @@ def write_csv(path: Path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
+            fh.write(",".join(map(_fmt_cell, row)) + "\n")
 
 
 def _json_safe(value):
@@ -125,20 +130,15 @@ def _state_columns(index: StateIndex):
         yield i_c, i_d, x, i_m / z
 
 
-def _panel_arrows(model: MarkovModel, grad) -> list[tuple[int, int, float, float, float]]:
-    index = model.index
-    stride = max(1, index.z // 14)
-    arrows = []
-    for s in range(index.n_states):
-        i_c = int(index.i_c_of[s])
-        i_d = int(index.i_d_of[s])
-        if i_c % stride or i_d % stride:
-            continue
-        if grad.speed[s] <= 0.0:
-            continue
-        arrows.append((i_c, i_d, float(grad.drift_c[s]), float(grad.drift_d[s]),
-                       float(grad.speed[s])))
-    return arrows
+def _simplex_arrows(z: int, i_c, i_d, d_c, d_d, speed) -> list[tuple[int, int, float, float, float]]:
+    """Arrows (i_c, i_d, d_c, d_d, speed) on a lattice of about 14 states per edge.
+
+    Keeps the states whose counts are both multiples of the stride and that
+    move at all, in the given order.
+    """
+    stride = max(1, z // 14)
+    keep = (i_c % stride == 0) & (i_d % stride == 0) & (speed > 0.0)
+    return list(zip(*(np.asarray(col)[keep].tolist() for col in (i_c, i_d, d_c, d_d, speed))))
 
 
 def _stationary_outputs(cfg: ExperimentConfig, params: GameParams, tag: str,
@@ -177,7 +177,10 @@ def _stationary_outputs(cfg: ExperimentConfig, params: GameParams, tag: str,
             (int(index.i_c_of[s]), int(index.i_d_of[s]), float(result.pi[s]))
             for s in range(index.n_states)
         ]
-        arrows = _panel_arrows(model, grad) if grad is not None else None
+        arrows = None
+        if grad is not None:
+            arrows = _simplex_arrows(params.z, index.i_c_of, index.i_d_of,
+                                     grad.drift_c, grad.drift_d, grad.speed)
         path = cfg.out_dir / f"panel{tag}.svg"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(simplex_svg(params.z, shade=shade, arrows=arrows,
@@ -236,21 +239,12 @@ def _run_field(cfg: ExperimentConfig) -> list[Path]:
 
     if "svg" in cfg.formats:
         z = params.z
-        stride = max(1, z // 14)
-        arrows = []
-        for j in range(len(field.i_c)):
-            i_c = int(field.i_c[j])
-            i_d = int(field.i_d[j])
-            if i_c % stride or i_d % stride:
-                continue
-            x_dot = float(field.x_dot[j])
-            y_dot = float(field.y_dot[j])
-            i_m = i_c + i_d
-            d_m = z * y_dot
-            d_c = float(field.x[j]) * d_m + i_m * x_dot
-            speed = math.hypot(x_dot, y_dot)
-            if speed > 0.0:
-                arrows.append((i_c, i_d, d_c, d_m - d_c, speed))
+        # Composition displacement of the flow: d(i_m) = z y_dot and
+        # d(i_c) = x d(i_m) + i_m x_dot.
+        d_m = z * field.y_dot
+        d_c = field.x * d_m + (field.i_c + field.i_d) * field.x_dot
+        arrows = _simplex_arrows(z, field.i_c, field.i_d, d_c, d_m - d_c,
+                                 np.hypot(field.x_dot, field.y_dot))
         path = cfg.out_dir / "field.svg"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(simplex_svg(z, arrows=arrows, label=f"alpha = {params.alpha:g}"))
@@ -299,26 +293,28 @@ def _run_sweep_alpha(cfg: ExperimentConfig) -> list[Path]:
 def _run_informed_map(cfg: ExperimentConfig) -> list[Path]:
     params = cfg.params
     z = params.z
-    rows = []
-    label_counts: dict[str, int] = {}
-    for i_m in range(2, z + 1):
-        n = group_size(params, i_m)
-        y = i_m / z
-        for i_c in range(0, i_m + 1):
-            i_d = i_m - i_c
-            x = i_c / i_m
-            flow = informed_field(params, PopulationState(i_c=i_c, i_d=i_d, z=z))
-            # Representative group-level gains: a group of n with the state's
-            # cooperator share among the other n - 1 seats.
-            k_rep = round(x * (n - 1))
-            gains = marginal_gains(params, k_rep * params.c, n)
-            cls = classify_state(params, k_rep * params.c, n)
-            label = cls.label or ""
-            label_counts[label or "none"] = label_counts.get(label or "none", 0) + 1
-            rows.append((i_c, i_d, x, y, n,
-                         gains.d_cd, gains.d_do, gains.d_co,
-                         cls.signs[0], cls.signs[1], cls.signs[2], label,
-                         flow.x_dot, flow.y_dot))
+    i_m, i_c = np.tril_indices(z + 1)
+    coalition = i_m >= 2
+    i_m, i_c = i_m[coalition], i_c[coalition]
+    x = i_c / i_m
+    x_dot, y_dot = informed_field_grid(params, i_m, i_c)
+    n = np.empty(len(i_m), dtype=int)
+    d_cd, d_do, d_co = (np.empty(len(i_m)) for _ in range(3))
+    labels = np.empty(len(i_m), dtype=object)
+    start = 0
+    for m in range(2, z + 1):
+        level = slice(start, start + m + 1)
+        start += m + 1
+        n[level] = n_m = group_size(params, m)
+        # Representative group-level gains: a group of n with the state's
+        # cooperator share among the other n - 1 seats.
+        k_rep = np.rint(x[level] * (n_m - 1))
+        d_cd[level], d_do[level], d_co[level], labels[level] = gains_on_grid(params, k_rep, n_m)
+    signs = (np.sign(d).astype(int).tolist() for d in (d_cd, d_do, d_co))
+    rows = zip(i_c.tolist(), (i_m - i_c).tolist(), x.tolist(), (i_m / z).tolist(), n.tolist(),
+               d_cd.tolist(), d_do.tolist(), d_co.tolist(), *signs, labels.tolist(),
+               x_dot.tolist(), y_dot.tolist())
+    label_counts = dict(Counter(label or "none" for label in labels.tolist()))
     written: list[Path] = []
     if "csv" in cfg.formats:
         path = cfg.out_dir / "informed_map.csv"
@@ -413,7 +409,9 @@ def _run_s1_compare(cfg: ExperimentConfig) -> list[Path]:
                 uninformed, _ = replicator_field(p, state)
                 informed = informed_field(p, state).x_dot
                 x = i_c / i_m
-                k_flow = x * (1.0 - x) * p.c * information_cost(p, state).k_full
+                # k_full is None on two-member and full coalitions: written as nan.
+                k_full = information_cost(p, state).k_full
+                k_flow = None if k_full is None else x * (1.0 - x) * p.c * k_full
                 gap = max(gap, abs(uninformed - informed))
                 rows.append((z, alpha, i_m, n, i_c, x,
                              uninformed, informed, k_flow))
@@ -513,12 +511,3 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     })
     return manifest
 
-
-def recipe_figure2(cfg: ExperimentConfig) -> RunManifest:
-    """Stationary distribution plus gradient panels across the alpha sweep."""
-    return run_experiment(dataclasses.replace(cfg, experiment="sweep-alpha"))
-
-
-def recipe_s1(cfg: ExperimentConfig) -> RunManifest:
-    """Matched-group-size comparison of informed and uninformed selection."""
-    return run_experiment(dataclasses.replace(cfg, experiment="s1-compare"))

@@ -13,15 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .game import (
-    GameParams,
-    PopulationState,
-    effective_shares,
-    marginal_return,
-    payoff,
-    relative_benefit,
-)
-from .sampling import fitness_at
+import numpy as np
+
+from .game import GameParams, PopulationState, _check_on_grid, effective_shares
+from .sampling import fitness_at, fitness_table
 
 __all__ = [
     "MarginalGains",
@@ -82,6 +77,32 @@ class InformedFlow:
     delta_od: float | None = None
 
 
+def _gain_terms(params: GameParams, c_prime, n: int):
+    """(d_cd, d_do, d_co, returns_clear, joining_pays) at others' contribution c_prime.
+
+    `c_prime` is a scalar or an array on the contribution grid; both take
+    the same arithmetic, so whole-grid callers agree with `marginal_gains`
+    and `classify_state` bit for bit.  The gains come in closed form from
+    the marginal return R and the relative benefits b = B/c; the two
+    booleans are the threshold conditions R (eps1 + eps2) > 1 and
+    b(C' + c) eps1 > 1 - R eps2 + kappa.
+    """
+    shares = effective_shares(params, n)
+    c = params.c
+    scale = n * c
+    produced_here = params.benefit(c_prime, scale)
+    produced_next = params.benefit(c_prime + c, scale)
+    r = (produced_next - produced_here) / c
+    b_here = produced_here / c
+    b_next = produced_next / c
+    d_cd = c * (r * shares.total - 1.0)
+    d_do = c * (b_here * shares.eps1 - shares.kappa)
+    d_co = c * (r * shares.total + b_here * shares.eps1 - 1.0 - shares.kappa)
+    returns_clear = r * shares.total > 1.0
+    joining_pays = b_next * shares.eps1 > 1.0 - r * shares.eps2 + shares.kappa
+    return d_cd, d_do, d_co, returns_clear, joining_pays
+
+
 def marginal_gains(params: GameParams, c_prime: float, n: int) -> MarginalGains:
     """Pairwise strategy gains for a group of n with others contributing c_prime.
 
@@ -89,13 +110,8 @@ def marginal_gains(params: GameParams, c_prime: float, n: int) -> MarginalGains:
     shares; `payoff` subtraction gives the same numbers and serves as
     an independent cross-check in the test suite.
     """
-    shares = effective_shares(params, n)
-    r = marginal_return(params, c_prime, n)
-    b_here = relative_benefit(params, c_prime, n)
-    c = params.c
-    d_cd = c * (r * shares.total - 1.0)
-    d_do = c * (b_here * shares.eps1 - shares.kappa)
-    d_co = c * (r * shares.total + b_here * shares.eps1 - 1.0 - shares.kappa)
+    _check_on_grid(params, c_prime, n)
+    d_cd, d_do, d_co, _, _ = _gain_terms(params, c_prime, n)
     return MarginalGains(d_cd=d_cd, d_do=d_do, d_co=d_co)
 
 
@@ -117,20 +133,28 @@ def classify_state(params: GameParams, c_prime: float, n: int) -> StateClass:
     the sign conditions d_cd > 0 and d_co > 0; the sign-based reading
     is asserted against this one in the tests.
     """
-    gains = marginal_gains(params, c_prime, n)
-    shares = effective_shares(params, n)
-    r = marginal_return(params, c_prime, n)
-    b_next = relative_benefit(params, c_prime + params.c, n)
-    cond_returns = r * shares.total > 1.0
-    cond_joining = b_next * shares.eps1 > 1.0 - r * shares.eps2 + shares.kappa
-    signs = (_sign(gains.d_cd), _sign(gains.d_do), _sign(gains.d_co))
-    if cond_returns and cond_joining:
+    _check_on_grid(params, c_prime, n)
+    d_cd, d_do, d_co, returns_clear, joining_pays = _gain_terms(params, c_prime, n)
+    signs = (_sign(d_cd), _sign(d_do), _sign(d_co))
+    if returns_clear and joining_pays:
         label = "A"
-    elif gains.d_cd < 0.0 and gains.d_do > 0.0:
+    elif d_cd < 0.0 and d_do > 0.0:
         label = "B"
     else:
         label = None
     return StateClass(signs=signs, label=label)
+
+
+def gains_on_grid(params: GameParams, k: np.ndarray, n: int):
+    """`marginal_gains` and `classify_state` at c_prime = k c for an array of k.
+
+    Returns (d_cd, d_do, d_co, labels): the gains as float arrays and the
+    labels as a string array, "" where `classify_state` gives None.
+    """
+    d_cd, d_do, d_co, returns_clear, joining_pays = _gain_terms(params, k * params.c, n)
+    labels = np.where(returns_clear & joining_pays, "A",
+                      np.where((d_cd < 0.0) & (d_do > 0.0), "B", ""))
+    return d_cd, d_do, d_co, labels
 
 
 def informed_field(params: GameParams, state: PopulationState) -> InformedFlow:
@@ -184,3 +208,29 @@ def informed_field(params: GameParams, state: PopulationState) -> InformedFlow:
         delta_do=d_do,
         delta_od=d_od,
     )
+
+
+def informed_field_grid(params: GameParams, i_m: np.ndarray, i_c: np.ndarray):
+    """`informed_field`'s (x_dot, y_dot) at the states (i_c, i_m - i_c), i_m >= 1.
+
+    Each switch gain is a shifted read of the fitness table, and a gain
+    whose pair weight vanishes counts as zero, with the arithmetic of
+    `informed_field`, so the two agree exactly.
+    """
+    f_c, f_d, f_o = fitness_table(params).grid()
+    x = i_c / i_m
+    y = i_m / params.z
+    here_c, here_d, here_o = f_c[i_m, i_c], f_d[i_m, i_c], f_o[i_m, i_c]
+    both = (i_c > 0) & (i_c < i_m)
+    has_room = i_m < params.z
+    d_dc = np.where(both, f_c[i_m, i_c + 1] - here_d, 0.0)
+    d_cd = np.where(both, f_d[i_m, i_c - 1] - here_c, 0.0)
+    d_co = np.where(i_c > 0, f_o[i_m - 1, i_c - 1] - here_c, 0.0)
+    d_do = np.where(i_c < i_m, f_o[i_m - 1, i_c] - here_d, 0.0)
+    d_oc = np.where(has_room, f_c[i_m + 1, i_c + 1] - here_o, 0.0)
+    d_od = np.where(has_room, f_d[i_m + 1, i_c] - here_o, 0.0)
+    x_dot = 0.5 * x * (1.0 - x) * (
+        y * (d_dc - d_cd) + (1.0 - y) * (d_oc - d_co + d_do - d_od)
+    )
+    y_dot = 0.5 * y * (1.0 - y) * (x * (d_oc - d_co) + (1.0 - x) * (d_od - d_do))
+    return x_dot, y_dot

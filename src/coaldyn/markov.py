@@ -41,7 +41,7 @@ from scipy.special import expit
 
 from .errors import CapacityError, NonConvergenceError, ReducibleChainError
 from .game import GameParams
-from .sampling import _fitness_formula, _fitness_triple
+from .sampling import fitness_table
 
 STRATEGY_NAMES = ("C", "D", "O")
 
@@ -99,19 +99,16 @@ class StateIndex:
 
 
 def fitness_tables(params: GameParams, index: StateIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Average fitness of C, D, O at every composition, as flat arrays."""
-    n = index.n_states
-    f_c = np.empty(n)
-    f_d = np.empty(n)
-    f_o = np.empty(n)
-    for s in range(n):
-        # Each composition is visited once, so the fitness_at memo is bypassed.
-        trip = _fitness_triple(params, int(index.i_c_of[s]), int(index.i_d_of[s]), None,
-                               _fitness_formula)
-        f_c[s], f_d[s], f_o[s] = trip.f_c, trip.f_d, trip.f_o
-    for a in (f_c, f_d, f_o):
+    """Average fitness of C, D, O at every composition, as flat arrays.
+
+    Read from the parameter set's `fitness_table` under `fitness_at`'s zero
+    conventions.
+    """
+    i_m = index.i_c_of + index.i_d_of
+    out = tuple(a[i_m, index.i_c_of] for a in fitness_table(params).grid())
+    for a in out:
         a.setflags(write=False)
-    return f_c, f_d, f_o
+    return out
 
 
 def imitation_probability(params: GameParams, f_x, f_y):

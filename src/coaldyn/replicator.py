@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameParams, PopulationState, group_size
-from .sampling import _fitness_raw, _payoff_vectors, fitness, fitness_at, pmf_row
+from .sampling import _level_draws, _payoff_grid, fitness, fitness_at, fitness_table, pmf_row
 
 __all__ = [
     "InformationCost",
@@ -89,8 +89,8 @@ def mean_return(params: GameParams, state: PopulationState) -> float:
 
 
 def _produced_grid(params: GameParams, n: int) -> np.ndarray:
-    """Benefit on the contribution grid 0..n, reusing the payoff-vector cache."""
-    return _payoff_vectors(params, n)[3]
+    """Benefit on the contribution grid 0..n."""
+    return _payoff_grid(params, n)[3]
 
 
 def mean_benefit(params: GameParams, state: PopulationState) -> float:
@@ -225,58 +225,65 @@ class FlowField:
     COLUMNS = ("i_C", "i_D", "x", "y", "x_dot", "y_dot", "mean_R", "mean_b", "K_exact", "K_dropped")
 
     def rows(self):
-        """Yield per-state tuples in the COLUMNS order."""
-        for j in range(len(self.i_c)):
-            yield (
-                int(self.i_c[j]),
-                int(self.i_d[j]),
-                float(self.x[j]),
-                float(self.y[j]),
-                float(self.x_dot[j]),
-                float(self.y_dot[j]),
-                float(self.mean_r[j]),
-                float(self.mean_b[j]),
-                float(self.k_exact[j]),
-                float(self.k_dropped[j]),
-            )
+        """Per-state tuples in the COLUMNS order, as Python ints and floats."""
+        return zip(*(col.tolist() for col in (
+            self.i_c, self.i_d, self.x, self.y, self.x_dot, self.y_dot,
+            self.mean_r, self.mean_b, self.k_exact, self.k_dropped)))
 
 
 def flow_field(params: GameParams) -> FlowField:
-    """Evaluate the replicator field and its K diagnostics on the interior grid."""
-    z = params.z
-    recs = []
-    for i_m in range(2, z + 1):
-        for i_c in range(1, i_m):
-            state = PopulationState(i_c=i_c, i_d=i_m - i_c, z=z)
-            x_dot, y_dot = replicator_field(params, state)
-            cost = information_cost(params, state)
-            recs.append(
-                (
-                    i_c,
-                    i_m - i_c,
-                    state.x,
-                    state.y,
-                    x_dot,
-                    y_dot,
-                    mean_return(params, state),
-                    mean_benefit(params, state),
-                    cost.k_exact,
-                    cost.k_dropped if cost.k_dropped is not None else np.nan,
-                )
-            )
-    cols = list(zip(*recs))
+    """Evaluate the replicator field and its K diagnostics on the interior grid.
+
+    Every column is read off the fitness table by shifted indexing, with the
+    arithmetic of the pointwise functions (`replicator_field`,
+    `information_cost`), so the two agree exactly; mean_R and mean_b come
+    from one hypergeometric matrix per coalition size.  Rows run over
+    i_m = 2..z and, within one, i_c = 1..i_m - 1.
+    """
+    z, c = params.z, params.c
+    f_c, f_d, f_o = fitness_table(params).grid()
+    i_m, i_c = np.tril_indices(z + 1, -1)
+    interior = i_c >= 1
+    i_m, i_c = i_m[interior], i_c[interior]
+    x = i_c / i_m
+    y = i_m / z
+    here_c, here_d = f_c[i_m, i_c], f_d[i_m, i_c]
+    x_dot = x * (1.0 - x) * (here_c - here_d)
+    y_dot = y * (1.0 - y) * (x * here_c + (1.0 - x) * here_d - f_o[i_m, i_c])
+    swap = f_c[i_m, i_c + 1] - here_c + here_d - f_d[i_m, i_c - 1]
+    outsider = f_o[i_m - 1, i_c] - f_o[i_m - 1, i_c - 1]
+    entry_c = f_c[i_m, i_c + 1] - f_c[i_m + 1, i_c + 1]
+    entry_d = f_d[i_m + 1, i_c] - f_d[i_m, i_c - 1]
+    k_dropped = np.where((i_m >= 3) & (i_m < z),
+                         (1.0 - y) * (outsider - entry_c - entry_d) / (2.0 * c), np.nan)
+
+    mean_r = np.empty(len(i_m))
+    mean_b = np.empty(len(i_m))
+    start = 0
+    for m in range(2, z + 1):
+        n = group_size(params, m)
+        produced = _produced_grid(params, n)
+        r_vals = (produced[1:] - produced[:-1]) / c
+        b_vals = produced / c
+        # Row s of g: averages over the draw with s cooperating co-members;
+        # state i_c reads row i_c - 1 (focal cooperator) and row i_c (defector).
+        g = _level_draws(m, n) @ np.column_stack((r_vals, b_vals[1:], b_vals[:-1]))
+        level = slice(start, start + m - 1)
+        start += m - 1
+        mean_r[level] = 0.5 * (g[1:, 0] + g[:-1, 0])
+        mean_b[level] = x[level] * g[:-1, 1] + (1.0 - x[level]) * g[1:, 2]
     return FlowField(
         params=params,
-        i_c=np.array(cols[0], dtype=int),
-        i_d=np.array(cols[1], dtype=int),
-        x=np.array(cols[2]),
-        y=np.array(cols[3]),
-        x_dot=np.array(cols[4]),
-        y_dot=np.array(cols[5]),
-        mean_r=np.array(cols[6]),
-        mean_b=np.array(cols[7]),
-        k_exact=np.array(cols[8]),
-        k_dropped=np.array(cols[9]),
+        i_c=i_c,
+        i_d=i_m - i_c,
+        x=x,
+        y=y,
+        x_dot=x_dot,
+        y_dot=y_dot,
+        mean_r=mean_r,
+        mean_b=mean_b,
+        k_exact=swap / (2.0 * c),
+        k_dropped=k_dropped,
     )
 
 
@@ -304,32 +311,23 @@ class _InterpolatedField:
         self.params = params
         z = params.z
         self.z = z
-        self.fc_rows: list[np.ndarray | None] = [None] * (z + 1)
-        self.fd_rows: list[np.ndarray | None] = [None] * (z + 1)
-        self.fo_rows: list[np.ndarray | None] = [None] * (z + 1)
-        for i_m in range(2, z + 1):
-            fc = np.empty(i_m + 1)
-            fd = np.empty(i_m + 1)
-            fo = np.empty(i_m + 1)
-            for i_c in range(i_m + 1):
-                raw_c, raw_d, raw_o = _fitness_raw(params, i_c, i_m - i_c, None)
-                fc[i_c] = np.nan if raw_c is None else raw_c
-                fd[i_c] = np.nan if raw_d is None else raw_d
-                fo[i_c] = raw_o
-            fc[0] = fd[0] + (fc[1] - fd[1])
-            fd[i_m] = fc[i_m] - (fc[i_m - 1] - fd[i_m - 1])
-            self.fc_rows[i_m] = fc
-            self.fd_rows[i_m] = fd
-            self.fo_rows[i_m] = fo
+        table = fitness_table(params)
+        fc, fd, fo = (a.copy() for a in table.grid())
+        m = np.arange(2, z + 1)
+        fc[m, 0] = fd[m, 0] + (fc[m, 1] - fd[m, 1])
+        fd[m, m] = fc[m, m] - (fc[m, m - 1] - fd[m, m - 1])
+        fo[z, : z + 1] = table.f_o_full
+        self.fc_rows, self.fd_rows, self.fo_rows = fc, fd, fo
 
     def _row_eval(self, i_m: int, x: float) -> tuple[float, float, float]:
         if i_m < 2:
             return 0.0, 0.0, 0.0
         nodes = np.arange(i_m + 1) / i_m
+        row = slice(0, i_m + 1)
         return (
-            float(np.interp(x, nodes, self.fc_rows[i_m])),
-            float(np.interp(x, nodes, self.fd_rows[i_m])),
-            float(np.interp(x, nodes, self.fo_rows[i_m])),
+            float(np.interp(x, nodes, self.fc_rows[i_m, row])),
+            float(np.interp(x, nodes, self.fd_rows[i_m, row])),
+            float(np.interp(x, nodes, self.fo_rows[i_m, row])),
         )
 
     def fitness_values(self, x: float, y: float) -> tuple[float, float, float]:

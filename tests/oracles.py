@@ -16,6 +16,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import gammaln
 
 
 def exact_pmf(pool: int, draws: int, successes: int, k: int) -> Fraction:
@@ -124,6 +125,69 @@ def fitness_by_enumeration(params, i_c: int, i_d: int, n: int):
         acc += weight * sub_acc / count
     f_o = float(acc)
     return f_c, f_d, f_o
+
+
+def pmf_row_formula(pool: int, draws: int, successes: int) -> np.ndarray:
+    """Hypergeometric row k = 0..draws from log-gamma values on its support.
+
+    The per-row formula the engine used before it built whole levels at
+    once; exact zeros off the support.
+    """
+    out = np.zeros(draws + 1)
+    lo = max(0, draws - (pool - successes))
+    hi = min(draws, successes)
+    if lo <= hi:
+        ks = np.arange(lo, hi + 1)
+        log_p = (
+            gammaln(successes + 1)
+            - gammaln(ks + 1)
+            - gammaln(successes - ks + 1)
+            + gammaln(pool - successes + 1)
+            - gammaln(draws - ks + 1)
+            - gammaln(pool - successes - draws + ks + 1)
+            - (gammaln(pool + 1) - gammaln(draws + 1) - gammaln(pool - draws + 1))
+        )
+        out[lo : hi + 1] = np.exp(log_p)
+    return out
+
+
+def payoff_grid(params, n: int):
+    """(pi_C, pi_D, pi_O, pi_O of a cooperator-anchored group) at k = 0..n-1.
+
+    k counts the cooperating co-members a member sees; a group anchored
+    by a cooperator pools k + 1 contributions, hence the fourth vector.
+    """
+    rows = np.array([payoff_triple(params, k, n) for k in range(n)])
+    eps2 = (1.0 - params.e) / params.z**params.theta
+    anchored = np.array([params.benefit((k + 1) * params.c, n * params.c) * eps2
+                         for k in range(n)])
+    return rows[:, 0], rows[:, 1], rows[:, 2], anchored
+
+
+def fitness_by_pmf_rows(grid, i_c: int, i_d: int):
+    """Raw (f_C, f_D, f_O) at one composition, one PMF row per member view.
+
+    `grid` is `payoff_grid(params, n)` for the working-group size n.  f_C
+    is None without a cooperator and f_D None without a defector; f_O is
+    the outsider formula whether or not an outsider exists.
+    """
+    pi_c, pi_d, pi_o, pi_o_anchored = grid
+    n = len(pi_c)
+    i_m = i_c + i_d
+    assert 2 <= n <= i_m
+    row_c = pmf_row_formula(i_m - 1, n - 1, i_c - 1) if i_c >= 1 else None
+    row_d = pmf_row_formula(i_m - 1, n - 1, i_c) if i_d >= 1 else None
+    x = i_c / i_m
+    f_o = 0.0
+    if row_c is not None:
+        f_o += x * float(row_c @ pi_o_anchored)
+    if row_d is not None:
+        f_o += (1.0 - x) * float(row_d @ pi_o)
+    return (
+        float(row_c @ pi_c) if row_c is not None else None,
+        float(row_d @ pi_d) if row_d is not None else None,
+        f_o,
+    )
 
 
 def neutral_chain_exact(z: int, mu: Fraction):

@@ -7,14 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coaldyn import ConfigError
+from coaldyn import ConfigError, PopulationState, classify_state, informed_field, marginal_gains
 from coaldyn.cli import main
 from coaldyn.config import ExperimentConfig, load_config
+from coaldyn.game import group_size
 from coaldyn.experiments import (
     _fmt_cell,
     _json_safe,
-    recipe_figure2,
-    recipe_s1,
     run_experiment,
     write_csv,
 )
@@ -308,6 +307,32 @@ def test_s1_compare_outputs(tmp_path):
         assert informed == pytest.approx(uninformed + k, abs=1e-12)
 
 
+def test_informed_map_matches_pointwise_functions(tmp_path):
+    """Every row of the vectorised informed map against the scalar functions."""
+    text = BASE.replace("z = 12", "z = 30").replace("alpha = 2.0", "alpha = 4.0")
+    cfg = load_config(write_cfg(tmp_path, text), out_dir=tmp_path / "out",
+                      experiment="informed-map")
+    run_experiment(cfg)
+    p, z = cfg.params, cfg.params.z
+    lines = (tmp_path / "out" / "informed_map.csv").read_text().splitlines()[1:]
+    want_states = [(i_c, i_m - i_c) for i_m in range(2, z + 1) for i_c in range(i_m + 1)]
+    assert len(lines) == len(want_states)
+    for line, (i_c, i_d) in zip(lines, want_states):
+        cells = line.split(",")
+        assert (int(cells[0]), int(cells[1])) == (i_c, i_d)
+        i_m = i_c + i_d
+        n = group_size(p, i_m)
+        k_rep = round(i_c / i_m * (n - 1))
+        gains = marginal_gains(p, k_rep * p.c, n)
+        cls = classify_state(p, k_rep * p.c, n)
+        flow = informed_field(p, PopulationState(i_c=i_c, i_d=i_d, z=z))
+        assert int(cells[4]) == n
+        assert [float(v) for v in cells[5:8]] == [gains.d_cd, gains.d_do, gains.d_co]
+        assert tuple(int(v) for v in cells[8:11]) == cls.signs
+        assert cells[11] == (cls.label or "")
+        assert [float(v) for v in cells[12:14]] == [flow.x_dot, flow.y_dot]
+
+
 def test_montecarlo_outputs(tmp_path):
     run_experiment(run_cfg(tmp_path, "montecarlo", extra="\nburn_in = 500"))
     out = tmp_path / "out"
@@ -322,13 +347,16 @@ def test_montecarlo_outputs(tmp_path):
 
 
 def test_recipes_dispatch(tmp_path):
-    cfg = run_cfg(tmp_path, "stationary")
-    manifest = recipe_figure2(cfg)
+    # The experiment override dispatches to the named handler whatever the
+    # config's own [experiment] name is.
+    path = write_cfg(tmp_path)
+    manifest = run_experiment(load_config(path, out_dir=tmp_path / "sweep",
+                                          experiment="sweep-alpha"))
     assert "sweep_summary.json" in manifest.outputs
     base = BASE.replace("g_m_seats = 2", "g_m = 0.2").replace("z = 12", "z = 20")
-    cfg2 = run_cfg(tmp_path, "stationary", extra="\nz_pair = 20 10\ngroup_size = 5",
-                   base=base)
-    manifest2 = recipe_s1(cfg2)
+    text = base.replace("name = stationary", "name = stationary\nz_pair = 20 10\ngroup_size = 5")
+    manifest2 = run_experiment(load_config(write_cfg(tmp_path, text, "s1.cfg"),
+                                           out_dir=tmp_path / "s1", experiment="s1-compare"))
     assert "s1_summary.json" in manifest2.outputs
 
 
@@ -385,6 +413,19 @@ def test_cli_reducible_chain_is_a_config_error(tmp_path, capsys, mu, reason):
     assert code == 2
     assert captured.err.startswith("error: config:")
     assert reason in captured.err
+
+
+def test_cli_s1_compare_two_member_slice_writes_nan(tmp_path, capsys):
+    # A group size of 2 matches the two-member coalition, where K_dropped and
+    # so the k column are undefined.
+    text = (Path(__file__).parents[1] / "scripts" / "configs" / "size_pair.cfg").read_text()
+    path = write_cfg(tmp_path, text.replace("group_size = 25", "group_size = 2"))
+    code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
+    lines = (tmp_path / "out" / "s1_compare.csv").read_text().splitlines()
+    assert lines[0].split(",")[2] == "i_M" and lines[0].endswith(",k")
+    assert lines[1:] and all(line.split(",")[2] == "2" for line in lines[1:])
+    assert all(line.endswith(",nan") for line in lines[1:])
 
 
 def test_cli_capacity_error_exit_three(tmp_path, capsys):

@@ -187,18 +187,25 @@ def test_large_alpha_cancellation_ratio_small():
 
 
 def test_flow_field_table_consistency():
+    """flow_field equals the pointwise functions at every interior state."""
     p = params(z=30, g_m=2 / 30, alpha=4.0)
     field = flow_field(p)
-    # spot-check a handful of rows against the scalar entry points
-    rows = {(int(a), int(b)): j for j, (a, b) in enumerate(zip(field.i_c, field.i_d))}
-    for i_c, i_d in ((1, 1), (5, 10), (14, 15), (7, 3)):
-        j = rows[(i_c, i_d)]
-        s = PopulationState(i_c=i_c, i_d=i_d, z=30)
+    states = list(interior_states(30))
+    assert list(zip(field.i_c.tolist(), field.i_d.tolist())) == [(s.i_c, s.i_d) for s in states]
+    for j, s in enumerate(states):
         x_dot, y_dot = replicator_field(p, s)
-        assert field.x_dot[j] == pytest.approx(x_dot, abs=0.0)
-        assert field.y_dot[j] == pytest.approx(y_dot, abs=0.0)
-        assert field.k_exact[j] == pytest.approx(information_cost(p, s).k_exact, abs=0.0)
-    # K_dropped is NaN exactly where the decomposition reports a boundary
-    two_member = rows[(1, 1)]
-    assert np.isnan(field.k_dropped[two_member])
+        cost = information_cost(p, s)
+        assert (field.x[j], field.y[j]) == (s.x, s.y)
+        assert field.x_dot[j] == x_dot
+        assert field.y_dot[j] == y_dot
+        assert field.k_exact[j] == cost.k_exact
+        # K_dropped is NaN exactly where the decomposition reports a boundary
+        if cost.k_dropped is None:
+            assert np.isnan(field.k_dropped[j])
+        else:
+            assert field.k_dropped[j] == cost.k_dropped
+        assert field.mean_r[j] == pytest.approx(mean_return(p, s), rel=1e-12, abs=0.0)
+        assert field.mean_b[j] == pytest.approx(mean_benefit(p, s), rel=1e-12, abs=0.0)
+    assert np.isnan(field.k_dropped[0])  # the two-member coalition (1, 1)
     assert field.COLUMNS[0] == "i_C" and len(field.COLUMNS) == 10
+    assert len(next(iter(field.rows()))) == len(field.COLUMNS)

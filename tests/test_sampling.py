@@ -5,10 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coaldyn import BenefitFunction, GameParams, PopulationState
-from coaldyn.sampling import FitnessTriple, fitness, fitness_at, hypergeom_pmf, pmf_row
+from coaldyn.sampling import FitnessTriple, fitness, fitness_at, fitness_table, hypergeom_pmf, pmf_row
 from coaldyn.game import group_size
 
-from oracles import enumerated_pmf, exact_pmf, fitness_by_enumeration
+from oracles import (
+    enumerated_pmf,
+    exact_pmf,
+    fitness_by_enumeration,
+    fitness_by_pmf_rows,
+    payoff_grid,
+    pmf_row_formula,
+)
 
 SIGMOID = BenefitFunction.sigmoid()
 
@@ -205,3 +212,87 @@ def test_fitness_rejects_invalid_composition():
         fitness_at(p, -1, 3)
     with pytest.raises(ValueError):
         fitness_at(p, 3, 3, n_override=1)
+
+
+# ------------------------------------------------------------- fitness table
+
+BENEFITS = {
+    "linear": BenefitFunction.linear(slope=3.0),
+    "step": BenefitFunction.step(amplitude=50.0, threshold=0.5),
+    "sigmoid": SIGMOID,
+    "tabulated": BenefitFunction.tabulated([(0.0, 0.0), (3.0, 17.0), (60.0, 20.0)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BENEFITS))
+def test_fitness_table_matches_per_state_rows(kind):
+    """Level-by-level table vs one PMF row and one dot product per state.
+
+    The error is relative to the larger of the value and the largest payoff
+    it averages: some averages cancel to zero (a linear benefit gives f_D = 0
+    exactly at some states), where a plain relative error is undefined.
+    """
+    z = 60
+    for alpha in (1.0, 2.0, 4.0, 8.0):
+        p = GameParams(z=z, g_m=0.05, alpha=alpha, benefit=BENEFITS[kind])
+        table = fitness_table(p)
+        f_c, f_d, f_o = table.grid()
+        f_o = f_o.copy()
+        f_o[z, : z + 1] = table.f_o_full
+        worst = 0.0
+        for i_m in range(2, z + 1):
+            grid = payoff_grid(p, group_size(p, i_m))
+            scale = max(np.abs(g).max() for g in grid)
+            for i_c in range(i_m + 1):
+                want = fitness_by_pmf_rows(grid, i_c, i_m - i_c)
+                for got, w in zip((f_c, f_d, f_o), want):
+                    if w is None:
+                        assert got[i_m, i_c] == 0.0
+                    else:
+                        worst = max(worst, abs(got[i_m, i_c] - w) / max(abs(w), scale))
+        assert worst <= 1e-12, (alpha, worst)
+        for a in table.grid():
+            assert not a[:2].any() and not a[np.triu_indices(z + 2, 1)].any() and not a[z + 1].any()
+
+
+def test_hypergeometric_rows_match_per_row_formula():
+    for pool, draws in ((0, 0), (1, 1), (9, 4), (59, 20), (199, 199)):
+        for s in sorted({0, pool // 3, pool}):
+            assert np.array_equal(pmf_row(pool, draws, s), pmf_row_formula(pool, draws, s))
+
+
+def test_fitness_at_reads_the_table_with_zero_conventions():
+    p = small_params()
+    table = fitness_table(p)
+    zc, zd, zo = table.grid()
+    assert zc.shape == (p.z + 2, p.z + 2)
+    for i_m in range(p.z + 1):
+        for i_c in range(i_m + 1):
+            assert fitness_at(p, i_c, i_m - i_c) == FitnessTriple(
+                zc[i_m, i_c], zd[i_m, i_c], zo[i_m, i_c])
+    assert not zc.flags.writeable and not table.level(p.z).flags.writeable
+    assert np.isfinite(table.f_o_full).all() and (zo[p.z] == 0.0).all()
+
+
+def test_fitness_table_builds_only_the_levels_read():
+    p = small_params(alpha=3.0)
+    fitness_table.cache_clear()
+    fitness_at(p, 2, 3)
+    table = fitness_table(p)
+    assert table._built == [i_m in (0, 1, 5) for i_m in range(p.z + 1)]
+    table.grid()
+    assert all(table._built)
+
+
+def test_fitness_override_larger_than_coalition_is_rejected():
+    with pytest.raises(ValueError):
+        fitness_at(small_params(), 2, 2, n_override=5)
+
+
+def test_fitness_memo_stays_bounded():
+    fitness_table.cache_clear()
+    for j in range(20):
+        fitness_at(small_params(alpha=1.0 + j / 4), 3, 4)
+    info = fitness_table.cache_info()
+    assert info.misses == 20
+    assert info.currsize == info.maxsize == 1
