@@ -443,8 +443,8 @@ def _run_montecarlo(cfg: ExperimentConfig) -> list[Path]:
     if "csv" in cfg.formats:
         path = cfg.out_dir / "occupancy.csv"
         rows = (
-            (i_c, i_d, x, y, float(result.occupancy[index.index_of(i_c, i_d)]))
-            for i_c, i_d, x, y in _state_columns(index)
+            (i_c, i_d, x, y, occ)
+            for (i_c, i_d, x, y), occ in zip(_state_columns(index), result.occupancy.tolist())
         )
         write_csv(path, ("i_C", "i_D", "x", "y", "occupancy"), rows)
         written.append(path)

@@ -456,12 +456,13 @@ def _simulate_block(u: np.ndarray, i_c: int, i_d: int, z: int, mu: float,
                     fermi: np.ndarray, pair_move: np.ndarray, offsets: np.ndarray,
                     counts: np.ndarray, start_step: int, burn_in: int,
                     stride: int, traj: np.ndarray, n_traj: int) -> tuple[int, int, int]:
-    """Advance the population over one block of pre-drawn uniforms.
+    """Advance the population over one block of pre-drawn uniforms, step by step.
 
     ``u`` has one row of four uniforms per step: focal pick, mutation test,
-    shared choice (mutation target or role model), Fermi acceptance.  The
-    stride-4 layout keeps the consumed stream identical across block sizes
-    and across the compiled/interpreted implementations.
+    shared choice (mutation target or role model), Fermi acceptance.  This is
+    the body numba compiles, and the per-step reference for `_simulate_steps`,
+    the interpreted kernel; both consume the same stride-4 stream, so a run is
+    identical across kernels and block sizes.
     """
     n_steps = u.shape[0]
     for i in range(n_steps):
@@ -524,21 +525,100 @@ def _simulate_block(u: np.ndarray, i_c: int, i_d: int, z: int, mu: float,
     return i_c, i_d, start_step + n_steps
 
 
+# Mutation target of a focal strategy, indexed by the role code the interpreted
+# kernel gives a mutation step: -1 when the shared uniform is below 0.5, else -2.
+_MUTATION_TARGET = ((None, 2, 1), (None, 2, 0), (None, 1, 0))
+
+
+def _simulate_steps(u: np.ndarray, i_c: int, i_d: int, z: int, mu: float,
+                    fermi: list, pair_move: list, offsets: np.ndarray,
+                    counts: np.ndarray, start_step: int, burn_in: int,
+                    stride: int, traj: np.ndarray, n_traj: int) -> tuple[int, int, int]:
+    """Interpreted kernel: `_simulate_block`'s contract and result, bit for bit.
+
+    The state-free part of every step (focal and role indices, the mutation
+    test and coin) is computed for the whole block in NumPy.  The Python loop
+    then only classifies two indices against ``i_c`` and ``i_c + i_d``, skips
+    steps that leave the state unchanged, and records (step, i_c, i_d) for the
+    others; occupancy (from run lengths) and trajectory rows are read off
+    those records after the loop.
+    ``fermi[i_c][i_d]`` is the state's row of Fermi probabilities and
+    ``pair_move`` is ``PAIR_TO_MOVE``, both as nested lists.
+    """
+    n_steps = u.shape[0]
+    focal = np.minimum((u[:, 0] * z).astype(np.int64), z - 1)
+    role = np.minimum((u[:, 2] * (z - 1)).astype(np.int64), z - 2)
+    role += role >= focal
+    mutate = u[:, 1] < mu
+    role[mutate] = np.where(u[mutate, 2] < 0.5, -1, -2)
+
+    b = i_c + i_d
+    row = fermi[i_c][i_d]
+    changes = [0, i_c, i_d]  # flat (step, i_c, i_d) rows; row 0 is the entry state
+    for i, f, r, a in zip(range(n_steps), focal.tolist(), role.tolist(), u[:, 3].tolist()):
+        if f < i_c:
+            sf = 0
+        elif f < b:
+            sf = 1
+        else:
+            sf = 2
+        if r < 0:
+            st = _MUTATION_TARGET[sf][r]
+        else:
+            if r < i_c:
+                st = 0
+            elif r < b:
+                st = 1
+            else:
+                st = 2
+            if st == sf or not a < row[pair_move[sf][st]]:
+                continue
+        if sf == 0:
+            i_c -= 1
+        elif sf == 1:
+            i_d -= 1
+        if st == 0:
+            i_c += 1
+        elif st == 1:
+            i_d += 1
+        b = i_c + i_d
+        row = fermi[i_c][i_d]
+        changes += (i, i_c, i_d)
+
+    # Row j's state holds from its step up to the next row's (or the block end).
+    changes = np.array(changes, dtype=np.int64).reshape(-1, 3)
+    starts = changes[:, 0]
+    lo = burn_in - start_step
+    if lo < n_steps:
+        ends = np.append(starts[1:], n_steps)
+        runs = np.maximum(ends, lo) - np.maximum(starts, lo)
+        states = offsets[changes[:, 1]] + changes[:, 2]
+        counts += np.bincount(states, runs, counts.size).astype(np.int64)
+    if stride > 0:
+        k_lo, k_hi = start_step // stride, min(n_traj, (start_step + n_steps) // stride)
+        if k_lo < k_hi:
+            at = np.arange(k_lo + 1, k_hi + 1) * stride - 1
+            traj[k_lo:k_hi, 0] = at
+            rows = np.searchsorted(starts, at - start_step, "right") - 1
+            traj[k_lo:k_hi, 1:] = changes[rows, 1:]
+    return i_c, i_d, start_step + n_steps
+
+
 _NUMBA_KERNEL = None
 
 
 def _get_kernel(use_numba: bool | None):
-    """Pick the block kernel: numba-compiled when available, else the pure-Python body."""
+    """Pick the block kernel: numba's `_simulate_block` when available, else `_simulate_steps`."""
     global _NUMBA_KERNEL
     if use_numba is False:
-        return _simulate_block
+        return _simulate_steps
     if _NUMBA_KERNEL is None:
         try:
             import numba
         except ImportError:
             if use_numba:
                 raise RuntimeError("numba requested but not installed (install the 'fast' extra)")
-            return _simulate_block
+            return _simulate_steps
         _NUMBA_KERNEL = numba.njit(cache=False)(_simulate_block)
     return _NUMBA_KERNEL
 
@@ -557,18 +637,23 @@ class MonteCarloResult:
 
 def monte_carlo(params: GameParams, steps: int, seed: int, *, burn_in: int = 0,
                 initial: tuple[int, int] | None = None, trajectory_samples: int = 512,
-                use_numba: bool | None = None, block_size: int = 1 << 18,
+                use_numba: bool | None = None, block_size: int = 1 << 14,
                 max_states: int = 2_000_000) -> MonteCarloResult:
     """Individual-based simulation of the update process (scaled form).
 
-    Pre-draws uniforms in fixed blocks of four per step so the result is a
-    pure function of ``seed`` regardless of block size or kernel choice.
+    Pre-draws uniforms in blocks of ``block_size`` steps, four per step, so
+    the consumed stream, and with it the result, is a pure function of
+    ``seed`` whatever the block size or kernel: numba's compilation of
+    `_simulate_block` when numba is installed and ``use_numba`` is not False,
+    else the interpreted `_simulate_steps`.
     Occupancy counts the post-update state of every step past ``burn_in``.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not 0 <= burn_in < steps:
         raise ValueError("burn_in must lie in [0, steps)")
+    if block_size < 1:
+        raise ValueError("block_size must be >= 1")
     z = params.z
     index = StateIndex.for_population(z)
     if index.n_states > max_states:
@@ -597,6 +682,9 @@ def monte_carlo(params: GameParams, steps: int, seed: int, *, burn_in: int = 0,
     rng = np.random.Generator(np.random.PCG64(seed))
     offsets = np.asarray(index.offsets)
     pair_move = np.asarray(PAIR_TO_MOVE)
+    if kernel is _simulate_steps:
+        fermi = [fermi[o:o + z + 1 - k].tolist() for k, o in enumerate(offsets.tolist())]
+        pair_move = pair_move.tolist()
     step = 0
     while step < steps:
         block = min(block_size, steps - step)

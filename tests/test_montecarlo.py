@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coaldyn import BenefitFunction, CapacityError, GameParams, monte_carlo
+from coaldyn import BenefitFunction, CapacityError, GameParams, markov, monte_carlo
 
 SIGMOID = BenefitFunction.sigmoid()
 
@@ -45,6 +45,42 @@ def test_compiled_kernel_matches_pure_python():
     nb = monte_carlo(params(), use_numba=True, **kw)
     assert np.array_equal(py.occupancy, nb.occupancy)
     assert np.array_equal(py.trajectory, nb.trajectory)
+
+
+# (z, mu, initial, steps, burn_in, block_size, trajectory_samples); None keeps
+# the default.  Burn-in is 0, inside the first block, or spans several blocks;
+# the strides 19, 1428 and 2857 divide none of the block sizes.
+PARITY_CASES = [
+    (12, 0.05, None, 20_000, 0, 7, 512),
+    (12, 0.05, None, 20_000, 5, 333, 7),
+    (12, 0.05, None, 500, 0, 7, 512),
+    (20, 0.05, None, 40_000, 35_000, None, 512),
+    (20, 0.05, (20, 0), 10_000, 2_000, 333, 0),
+    (30, 0.05, (0, 30), 10_000, 100, 7, 7),
+    (30, 0.05, (0, 0), 10_000, 0, None, 512),
+    (30, 0.0, (0, 0), 5_000, 0, 333, 512),
+    (12, 0.0, (6, 0), 20_000, 1_000, None, 7),
+    (20, 0.0, (6, 0), 10_000, 2_500, 333, 512),
+    (20, 1.0, None, 10_000, 0, 333, 512),
+    (12, 1.0, (12, 0), 5_000, 4_999, 7, 7),
+]
+
+
+@pytest.mark.parametrize("z, mu, initial, steps, burn_in, block_size, samples", PARITY_CASES)
+def test_interpreted_kernel_matches_per_step_reference(
+        monkeypatch, z, mu, initial, steps, burn_in, block_size, samples):
+    """`_simulate_steps` gives what `_simulate_block`, run as plain Python, gives."""
+    kw = dict(steps=steps, seed=z + steps, burn_in=burn_in, initial=initial,
+              trajectory_samples=samples, use_numba=False)
+    if block_size is not None:
+        kw["block_size"] = block_size
+    p = params(z, mu=mu)
+    fast = monte_carlo(p, **kw)
+    with monkeypatch.context() as m:
+        m.setattr(markov, "_get_kernel", lambda use_numba: markov._simulate_block)
+        ref = monte_carlo(p, **kw)
+    assert np.array_equal(fast.occupancy, ref.occupancy)
+    assert np.array_equal(fast.trajectory, ref.trajectory)
 
 
 def test_occupancy_is_a_distribution():
@@ -94,3 +130,6 @@ def test_input_validation():
         monte_carlo(params(), steps=10, seed=1, initial=(10, 10))
     with pytest.raises(CapacityError):
         monte_carlo(params(z=40), steps=10, seed=1, max_states=50)
+    for block_size in (0, -1):
+        with pytest.raises(ValueError, match="block_size must be >= 1"):
+            monte_carlo(params(), steps=10, seed=1, block_size=block_size)
