@@ -6,10 +6,10 @@ that produce a partly excludable benefit.  The package provides the
 stage-game payoffs, hypergeometric fitness averaging, informed-player
 marginal-gain analysis, deterministic replicator fields with an exact
 information-cost correction, and finite-population stochastic dynamics
-(a sparse imitation Markov chain plus an individual-based simulator).
+(an imitation Markov chain plus an individual-based simulator).
 
-Set ``COALDYN_THREADS`` to cap BLAS/numba thread counts; it is translated
-to the usual library-specific variables before numpy is first imported.
+Set ``COALDYN_THREADS`` to cap the BLAS thread count; it is translated to
+the usual library-specific variables before numpy is first imported.
 """
 
 import os as _os
@@ -21,7 +21,6 @@ if _threads:
         "OPENBLAS_NUM_THREADS",
         "MKL_NUM_THREADS",
         "VECLIB_MAXIMUM_THREADS",
-        "NUMBA_NUM_THREADS",
     ):
         _os.environ.setdefault(_var, _threads)
 del _os, _threads

@@ -17,9 +17,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = ["BenefitFunction"]
+
+
+@np.errstate(over="ignore")
+def expit(u):
+    """Logistic function ``1 / (1 + exp(-u))``; saturates to 0 and 1 without warnings."""
+    return 1.0 / (1.0 + np.exp(-np.asarray(u, dtype=float)))
 
 
 @dataclass(frozen=True)

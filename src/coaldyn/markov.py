@@ -32,13 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
-from scipy.special import expit
 
+from .benefits import expit
 from .errors import CapacityError, NonConvergenceError, ReducibleChainError
 from .game import GameParams
 from .sampling import fitness_table
@@ -135,14 +133,30 @@ def literal_row_sum_max(z: int, mu: float) -> float:
                3.0 * mu + scale * (a * b + a * c + b * c))
 
 
+def _self_loop(move_probs: np.ndarray) -> np.ndarray:
+    """Probability of staying put: whatever mass the six moves leave."""
+    return np.maximum(1.0 - move_probs.sum(axis=1), 0.0)
+
+
+def _move_targets(index: StateIndex, move_probs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """States with a positive probability of move ``m``, and the states it takes them to."""
+    src = np.flatnonzero(move_probs[:, m] > 0.0)
+    dc, dd = MOVE_DELTAS[m]
+    return src, index.index_of(index.i_c_of[src] + dc, index.i_d_of[src] + dd)
+
+
 @dataclass(frozen=True)
 class MarkovModel:
-    """Sparse one-step transition structure over all compositions."""
+    """One-step transition structure over all compositions.
+
+    ``move_probs`` holds every off-diagonal probability; the self-loop takes
+    the rest of each row.  The stationary solve and the gradient read it
+    directly; ``transitions`` is the same chain as a scipy CSR matrix.
+    """
 
     params: GameParams
     mutation_form: str
     index: StateIndex
-    transitions: sparse.csr_matrix
     move_probs: np.ndarray  # (n_states, 6), column m = prob of MOVES[m]
     f_c: np.ndarray
     f_d: np.ndarray
@@ -155,6 +169,27 @@ class MarkovModel:
     @property
     def n_states(self) -> int:
         return self.index.n_states
+
+    @cached_property
+    def transitions(self):
+        """Row-stochastic ``scipy.sparse.csr_matrix``, assembled (and scipy imported) on first access."""
+        from scipy import sparse
+
+        n = self.n_states
+        rows = [np.arange(n, dtype=np.int64)]
+        cols = [np.arange(n, dtype=np.int64)]
+        data = [_self_loop(self.move_probs)]
+        for m in range(6):
+            src, dst = _move_targets(self.index, self.move_probs, m)
+            rows.append(src)
+            cols.append(dst)
+            data.append(self.move_probs[src, m])
+        transitions = sparse.coo_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n, n),
+        ).tocsr()
+        transitions.eliminate_zeros()
+        return transitions
 
 
 def build_chain(params: GameParams, *, mutation_form: str = "scaled",
@@ -201,44 +236,30 @@ def build_chain(params: GameParams, *, mutation_form: str = "scaled",
             term = (counts[x] / z) * (counts[y] / (z - 1)) * p_xy * (1.0 - mu) + mu / 2.0
             move_probs[:, m] = np.where(counts[x] >= 1.0, term, 0.0)
 
-    self_loop = np.maximum(1.0 - move_probs.sum(axis=1), 0.0)
-
-    rows = [np.arange(n, dtype=np.int64)]
-    cols = [np.arange(n, dtype=np.int64)]
-    data = [self_loop]
-    for m in range(6):
-        live = move_probs[:, m] > 0.0
-        src = np.nonzero(live)[0]
-        if src.size == 0:
-            continue
-        dc, dd = MOVE_DELTAS[m]
-        rows.append(src)
-        cols.append(index.index_of(index.i_c_of[src] + dc, index.i_d_of[src] + dd))
-        data.append(move_probs[src, m])
-    transitions = sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    transitions.eliminate_zeros()
-
-    if mu > 0.0:
-        n_comp = connected_components(transitions, directed=True, connection="strong")[0]
-        if n_comp != 1:
-            raise ReducibleChainError(
-                f"chain is not strongly connected despite mu = {mu:g} > 0"
-            )
-
     move_probs.setflags(write=False)
-    return MarkovModel(
+    model = MarkovModel(
         params=params,
         mutation_form=mutation_form,
         index=index,
-        transitions=transitions,
         move_probs=move_probs,
         f_c=fits[0],
         f_d=fits[1],
         f_o=fits[2],
     )
+
+    # With every move open wherever its focal strategy is played, each state
+    # drains to (0, 0) and (0, 0) fills to each state.  Only when an underflow
+    # closes some move does connectivity need the graph search.
+    present = np.column_stack([counts[x] for x, _ in MOVES]) >= 1.0
+    if mu > 0.0 and not np.all(move_probs[present] > 0.0):
+        from scipy.sparse.csgraph import connected_components
+
+        n_comp = connected_components(model.transitions, directed=True, connection="strong")[0]
+        if n_comp != 1:
+            raise ReducibleChainError(
+                f"chain is not strongly connected despite mu = {mu:g} > 0"
+            )
+    return model
 
 
 @dataclass(frozen=True)
@@ -294,8 +315,7 @@ def _summarize(index: StateIndex, pi: np.ndarray) -> StationarySummary:
                              std_y=std_y, member_mass=mass)
 
 
-def _power_iteration(t_t: sparse.csr_matrix, tol: float,
-                     max_iter: int) -> tuple[np.ndarray, float, int]:
+def _power_iteration(t_t, tol: float, max_iter: int) -> tuple[np.ndarray, float, int]:
     n = t_t.shape[0]
     v = np.full(n, 1.0 / n)
     iters = 0
@@ -316,9 +336,12 @@ def _power_iteration(t_t: sparse.csr_matrix, tol: float,
     )
 
 
-def _direct_solve(transitions: sparse.csr_matrix) -> np.ndarray:
+def _direct_solve(transitions) -> np.ndarray:
     # pi (T - I) = 0 with sum(pi) = 1: transpose, overwrite the first equation
     # with the normalization row, solve the sparse LU system.
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
     n = transitions.shape[0]
     a = (transitions.T - sparse.identity(n, format="csr")).tocsr()
     b = sparse.vstack([sparse.csr_matrix(np.ones((1, n))), a[1:, :]]).tocsc()
@@ -336,26 +359,61 @@ def _level_solve(model: MarkovModel) -> np.ndarray:
     # P'_{k-1,k-1} = P_{k-1,k-1} + R_{k-1} P_{k,k-1}.  The diagonal of
     # I - P'_kk is the mass leaving each state (GTH), never 1 - p.  Then
     # pi_k = pi_{k-1} R_{k-1} from pi_0 = 1.
-    z, index = model.z, model.index
-    order = np.lexsort((index.i_c_of, index.i_c_of + index.i_d_of))
-    t = model.transitions[order][:, order].tocsr()
-    start = np.arange(z + 2) * np.arange(1, z + 3) // 2
-    block = lambda a, b: t[start[a]:start[a + 1], start[b]:start[b + 1]].toarray()  # noqa: E731
+    z, offsets, probs = model.z, model.index.offsets, model.move_probs
+
+    def block(k: int, dk: int) -> np.ndarray:
+        # Level k holds the states offsets[j] + k - j, j = i_c = 0..k; a move
+        # (dc, dd) leads to level k + dc + dd, position j + dc.  The self-loop
+        # is left out, as GTH never reads the diagonal.
+        j = np.arange(k + 1)
+        src = offsets[j] + k - j
+        out = np.zeros((k + 1, k + 1 + dk))
+        for m, (dc, dd) in enumerate(MOVE_DELTAS.tolist()):
+            if dc + dd == dk:
+                ok = (j + dc >= 0) & (j + dc <= k + dk)
+                out[j[ok], j[ok] + dc] = probs[src[ok], m]
+        return out
+
     r = [None] * z
-    p_kk = block(z, z)
+    p_kk = block(z, 0)
     for k in range(z, 0, -1):
-        down = block(k, k - 1)
+        down = block(k, -1)
         a = -p_kk
         np.fill_diagonal(a, 0.0)
         a[np.diag_indices(k + 1)] = down.sum(axis=1) - a.sum(axis=1)
-        r[k - 1] = np.linalg.solve(a.T, block(k - 1, k).T).T
-        p_kk = block(k - 1, k - 1) + r[k - 1] @ down
-    levels = [np.ones(1)]
-    for k in range(z):
-        levels.append(levels[-1] @ r[k])
+        r[k - 1] = np.linalg.solve(a.T, block(k - 1, +1).T).T
+        p_kk = block(k - 1, 0) + r[k - 1] @ down
     pi = np.empty(model.n_states)
-    pi[order] = np.concatenate(levels)
+    level = np.ones(1)
+    pi[0] = level[0]
+    for k in range(1, z + 1):
+        level = level @ r[k - 1]
+        j = np.arange(k + 1)
+        pi[offsets[j] + k - j] = level
     return pi / pi.sum()
+
+
+# The moves into a state, ordered by their sources' flat indices, with the
+# self-loop (None) in its place; summing in this order repeats the CSR
+# product ``T^T pi`` term by term.
+_INFLOW_ORDER = (4, 2, 5, None, 3, 0, 1)
+
+
+def _residual(model: MarkovModel, pi: np.ndarray) -> float:
+    """``max|T^T pi - pi|`` from shifted reads of ``move_probs``.
+
+    Each move is injective, so one fancy-indexed ``+=`` per move collects its
+    inflow exactly.
+    """
+    probs = model.move_probs
+    inflow = np.zeros_like(pi)
+    for m in _INFLOW_ORDER:
+        if m is None:
+            inflow += _self_loop(probs) * pi
+        else:
+            src, dst = _move_targets(model.index, probs, m)
+            inflow[dst] += probs[src, m] * pi[src]
+    return float(np.max(np.abs(inflow - pi)))
 
 
 def stationary(model: MarkovModel, *, tol: float = 1e-10, max_iter: int = 1_000_000,
@@ -363,25 +421,25 @@ def stationary(model: MarkovModel, *, tol: float = 1e-10, max_iter: int = 1_000_
     """Stationary distribution of the chain.
 
     ``method="levels"`` (default) solves exactly by linear level reduction in
-    GTH form: one dense solve per coalition size, about 0.1 s at z = 100.  It
-    keeps one R_k per level, sum k (k + 1) doubles: 2.7 MB at z = 100, 21 MB
-    at z = 200, 170 MB at z = 400.  ``method="direct"`` solves the sparse
-    linear system by LU; ``method="power"`` runs power iteration on the
-    transpose until consecutive iterates differ by less than ``tol``.  Both
-    stay as oracles.  The reported residual is ``max|T^T pi - pi|`` of the
-    returned law, not an error bound: power iteration stops at 1e-10 with a
-    TV error near 2e-5 at z = 100.  Raises NonConvergenceError when power
-    iteration hits ``max_iter`` or an exact method leaves a residual of
+    GTH form, reading its blocks from ``move_probs``: one dense solve per
+    coalition size, about 0.05 s at z = 100.  It keeps one R_k per level,
+    sum k (k + 1) doubles: 2.7 MB at z = 100, 21 MB at z = 200, 170 MB at
+    z = 400.  ``method="direct"`` solves the sparse linear system by LU;
+    ``method="power"`` runs power iteration on the transpose until
+    consecutive iterates differ by less than ``tol``.  Both stay as oracles,
+    and both import scipy.  The reported residual is ``max|T^T pi - pi|`` of
+    the returned law, not an error bound: power iteration stops at 1e-10
+    with a TV error near 2e-5 at z = 100.  Raises NonConvergenceError when
+    power iteration hits ``max_iter`` or an exact method leaves a residual of
     ``tol`` or more.
     """
     if model.params.mu <= 0.0:
         raise ReducibleChainError("stationary distribution requires mu > 0 (irreducible chain)")
-    t_t = model.transitions.T.tocsr()
     if method == "power":
-        pi, resid, iters = _power_iteration(t_t, tol, max_iter)
+        pi, resid, iters = _power_iteration(model.transitions.T.tocsr(), tol, max_iter)
     elif method in ("levels", "direct"):
         pi = _level_solve(model) if method == "levels" else _direct_solve(model.transitions)
-        resid = float(np.max(np.abs(t_t @ pi - pi)))
+        resid = _residual(model, pi)
         iters = 0
         if resid >= tol:
             raise NonConvergenceError(
@@ -452,81 +510,8 @@ def _fermi_table(params: GameParams, fits: tuple[np.ndarray, np.ndarray, np.ndar
     return table
 
 
-def _simulate_block(u: np.ndarray, i_c: int, i_d: int, z: int, mu: float,
-                    fermi: np.ndarray, pair_move: np.ndarray, offsets: np.ndarray,
-                    counts: np.ndarray, start_step: int, burn_in: int,
-                    stride: int, traj: np.ndarray, n_traj: int) -> tuple[int, int, int]:
-    """Advance the population over one block of pre-drawn uniforms, step by step.
-
-    ``u`` has one row of four uniforms per step: focal pick, mutation test,
-    shared choice (mutation target or role model), Fermi acceptance.  This is
-    the body numba compiles, and the per-step reference for `_simulate_steps`,
-    the interpreted kernel; both consume the same stride-4 stream, so a run is
-    identical across kernels and block sizes.
-    """
-    n_steps = u.shape[0]
-    for i in range(n_steps):
-        focal = int(u[i, 0] * z)
-        if focal >= z:
-            focal = z - 1
-        if focal < i_c:
-            strat_f = 0
-        elif focal < i_c + i_d:
-            strat_f = 1
-        else:
-            strat_f = 2
-
-        strat_t = -1
-        if u[i, 1] < mu:
-            # Mutation: adopt one of the two other strategies, fair coin.
-            if strat_f == 0:
-                strat_t = 1 if u[i, 2] < 0.5 else 2
-            elif strat_f == 1:
-                strat_t = 0 if u[i, 2] < 0.5 else 2
-            else:
-                strat_t = 0 if u[i, 2] < 0.5 else 1
-        else:
-            role = int(u[i, 2] * (z - 1))
-            if role >= z - 1:
-                role = z - 2
-            if role >= focal:
-                role += 1
-            if role < i_c:
-                strat_r = 0
-            elif role < i_c + i_d:
-                strat_r = 1
-            else:
-                strat_r = 2
-            if strat_r != strat_f:
-                move = pair_move[strat_f, strat_r]
-                state = offsets[i_c] + i_d
-                if u[i, 3] < fermi[state, move]:
-                    strat_t = strat_r
-
-        if strat_t >= 0:
-            if strat_f == 0:
-                i_c -= 1
-            elif strat_f == 1:
-                i_d -= 1
-            if strat_t == 0:
-                i_c += 1
-            elif strat_t == 1:
-                i_d += 1
-
-        step = start_step + i
-        if step >= burn_in:
-            counts[offsets[i_c] + i_d] += 1
-        if stride > 0 and (step + 1) % stride == 0:
-            k = (step + 1) // stride - 1
-            if k < n_traj:
-                traj[k, 0] = step
-                traj[k, 1] = i_c
-                traj[k, 2] = i_d
-    return i_c, i_d, start_step + n_steps
-
-
-# Mutation target of a focal strategy, indexed by the role code the interpreted
-# kernel gives a mutation step: -1 when the shared uniform is below 0.5, else -2.
+# Mutation target of a focal strategy, indexed by the role code
+# `_simulate_steps` gives a mutation step: -1 when the shared uniform is below 0.5, else -2.
 _MUTATION_TARGET = ((None, 2, 1), (None, 2, 0), (None, 1, 0))
 
 
@@ -534,16 +519,19 @@ def _simulate_steps(u: np.ndarray, i_c: int, i_d: int, z: int, mu: float,
                     fermi: list, pair_move: list, offsets: np.ndarray,
                     counts: np.ndarray, start_step: int, burn_in: int,
                     stride: int, traj: np.ndarray, n_traj: int) -> tuple[int, int, int]:
-    """Interpreted kernel: `_simulate_block`'s contract and result, bit for bit.
+    """Advance the population over one block of pre-drawn uniforms.
 
-    The state-free part of every step (focal and role indices, the mutation
+    ``u`` has one row of four uniforms per step: focal pick, mutation test,
+    shared choice (mutation target or role model), Fermi acceptance.  The
+    state-free part of every step (focal and role indices, the mutation
     test and coin) is computed for the whole block in NumPy.  The Python loop
     then only classifies two indices against ``i_c`` and ``i_c + i_d``, skips
     steps that leave the state unchanged, and records (step, i_c, i_d) for the
     others; occupancy (from run lengths) and trajectory rows are read off
     those records after the loop.
     ``fermi[i_c][i_d]`` is the state's row of Fermi probabilities and
-    ``pair_move`` is ``PAIR_TO_MOVE``, both as nested lists.
+    ``pair_move`` is ``PAIR_TO_MOVE``, both as nested lists.  The tests hold
+    it to a plain per-step loop over the same stream, bit for bit.
     """
     n_steps = u.shape[0]
     focal = np.minimum((u[:, 0] * z).astype(np.int64), z - 1)
@@ -604,25 +592,6 @@ def _simulate_steps(u: np.ndarray, i_c: int, i_d: int, z: int, mu: float,
     return i_c, i_d, start_step + n_steps
 
 
-_NUMBA_KERNEL = None
-
-
-def _get_kernel(use_numba: bool | None):
-    """Pick the block kernel: numba's `_simulate_block` when available, else `_simulate_steps`."""
-    global _NUMBA_KERNEL
-    if use_numba is False:
-        return _simulate_steps
-    if _NUMBA_KERNEL is None:
-        try:
-            import numba
-        except ImportError:
-            if use_numba:
-                raise RuntimeError("numba requested but not installed (install the 'fast' extra)")
-            return _simulate_steps
-        _NUMBA_KERNEL = numba.njit(cache=False)(_simulate_block)
-    return _NUMBA_KERNEL
-
-
 @dataclass(frozen=True)
 class MonteCarloResult:
     """Occupancy histogram and a thinned trajectory from one simulation run."""
@@ -637,16 +606,15 @@ class MonteCarloResult:
 
 def monte_carlo(params: GameParams, steps: int, seed: int, *, burn_in: int = 0,
                 initial: tuple[int, int] | None = None, trajectory_samples: int = 512,
-                use_numba: bool | None = None, block_size: int = 1 << 14,
+                block_size: int = 1 << 14,
                 max_states: int = 2_000_000) -> MonteCarloResult:
     """Individual-based simulation of the update process (scaled form).
 
-    Pre-draws uniforms in blocks of ``block_size`` steps, four per step, so
-    the consumed stream, and with it the result, is a pure function of
-    ``seed`` whatever the block size or kernel: numba's compilation of
-    `_simulate_block` when numba is installed and ``use_numba`` is not False,
-    else the interpreted `_simulate_steps`.
-    Occupancy counts the post-update state of every step past ``burn_in``.
+    Pre-draws uniforms in blocks of ``block_size`` steps, four per step, and
+    hands each block to `_simulate_steps`, so the consumed stream, and with
+    it the result, is a pure function of ``seed`` whatever the block size.
+    Occupancy counts the post-update state of every step past ``burn_in``;
+    ``trajectory_samples`` evenly spaced (step, i_c, i_d) rows are kept.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -654,6 +622,8 @@ def monte_carlo(params: GameParams, steps: int, seed: int, *, burn_in: int = 0,
         raise ValueError("burn_in must lie in [0, steps)")
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
+    if trajectory_samples < 0:
+        raise ValueError("trajectory_samples must be >= 0")
     z = params.z
     index = StateIndex.for_population(z)
     if index.n_states > max_states:
@@ -665,6 +635,9 @@ def monte_carlo(params: GameParams, steps: int, seed: int, *, burn_in: int = 0,
         i_c = i_d = z // 3
     else:
         i_c, i_d = initial
+        if not all(isinstance(v, (int, np.integer)) for v in initial):
+            raise ValueError(f"initial composition {initial} must be integer counts")
+        i_c, i_d = int(i_c), int(i_d)
         if i_c < 0 or i_d < 0 or i_c + i_d > z:
             raise ValueError(f"initial composition {initial} is off the simplex")
 
@@ -678,19 +651,16 @@ def monte_carlo(params: GameParams, steps: int, seed: int, *, burn_in: int = 0,
         stride, n_traj = 0, 0
     traj = np.zeros((n_traj, 3), dtype=np.int64)
 
-    kernel = _get_kernel(use_numba)
     rng = np.random.Generator(np.random.PCG64(seed))
     offsets = np.asarray(index.offsets)
-    pair_move = np.asarray(PAIR_TO_MOVE)
-    if kernel is _simulate_steps:
-        fermi = [fermi[o:o + z + 1 - k].tolist() for k, o in enumerate(offsets.tolist())]
-        pair_move = pair_move.tolist()
+    fermi = [fermi[o:o + z + 1 - k].tolist() for k, o in enumerate(offsets.tolist())]
+    pair_move = PAIR_TO_MOVE.tolist()
     step = 0
     while step < steps:
         block = min(block_size, steps - step)
         u = rng.random((block, 4))
-        i_c, i_d, step = kernel(u, i_c, i_d, z, params.mu, fermi, pair_move,
-                                offsets, counts, step, burn_in, stride, traj, n_traj)
+        i_c, i_d, step = _simulate_steps(u, i_c, i_d, z, params.mu, fermi, pair_move,
+                                         offsets, counts, step, burn_in, stride, traj, n_traj)
 
     occupancy = counts / float(steps - burn_in)
     occupancy.setflags(write=False)

@@ -22,11 +22,11 @@ parameter set and fills it one level at a time, as levels are first read;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .game import GameParams, PopulationState, effective_shares, group_size
 
@@ -64,6 +64,21 @@ class HypergeomSpec:
         return lo, hi
 
 
+@lru_cache(maxsize=None)
+def _log_factorials(size: int) -> np.ndarray:
+    """log j! for j = 0..size-1, each the log of the exact integer j!.
+
+    Callers ask for powers of two, so a handful of tables serve every pool.
+    """
+    out, f = [0.0], 1
+    for j in range(1, size):
+        f *= j
+        out.append(math.log(f))
+    table = np.array(out)
+    table.setflags(write=False)
+    return table
+
+
 def _hypergeom_rows(pool: int, draws: int, successes: np.ndarray) -> np.ndarray:
     """H[j, k] = P(k successes among `draws` from `pool` holding successes[j]).
 
@@ -71,7 +86,7 @@ def _hypergeom_rows(pool: int, draws: int, successes: np.ndarray) -> np.ndarray:
     to -inf off each row's support before exponentiating, so impossible
     counts come out as exact zeros.
     """
-    log_fact = gammaln(np.arange(1, pool + 2))  # log_fact[j] = log j!
+    log_fact = _log_factorials(1 << (pool + 1).bit_length())  # log_fact[j] = log j!
     s = np.asarray(successes)[:, None]
     k = np.arange(draws + 1)
     log_p = (

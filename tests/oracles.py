@@ -3,10 +3,11 @@
 Everything here is deliberately written from the ground truth rather
 than from the package: exact rational arithmetic where the quantity is
 rational (hypergeometric counts, neutral-drift chains), brute-force
-enumeration where the engine uses a formula (group sampling), and
+enumeration where the engine uses a formula (group sampling),
 textbook closed forms for solver validation (birth-death chains,
-repeated squaring).  None of it imports from coaldyn except the
-parameter container, so agreement is evidence and not tautology.
+repeated squaring), and a step-by-step loop for the Monte Carlo
+kernel.  None of it imports from coaldyn except the parameter
+container, so agreement is evidence and not tautology.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
+
+_log_factorial = np.vectorize(lambda n: math.log(math.factorial(n)), otypes=[float])
 
 
 def exact_pmf(pool: int, draws: int, successes: int, k: int) -> Fraction:
@@ -128,10 +130,11 @@ def fitness_by_enumeration(params, i_c: int, i_d: int, n: int):
 
 
 def pmf_row_formula(pool: int, draws: int, successes: int) -> np.ndarray:
-    """Hypergeometric row k = 0..draws from log-gamma values on its support.
+    """Hypergeometric row k = 0..draws from log-factorials on its support.
 
     The per-row formula the engine used before it built whole levels at
-    once; exact zeros off the support.
+    once; exact zeros off the support.  log j! is the log of the exact
+    integer j!, as in the engine.
     """
     out = np.zeros(draws + 1)
     lo = max(0, draws - (pool - successes))
@@ -139,13 +142,13 @@ def pmf_row_formula(pool: int, draws: int, successes: int) -> np.ndarray:
     if lo <= hi:
         ks = np.arange(lo, hi + 1)
         log_p = (
-            gammaln(successes + 1)
-            - gammaln(ks + 1)
-            - gammaln(successes - ks + 1)
-            + gammaln(pool - successes + 1)
-            - gammaln(draws - ks + 1)
-            - gammaln(pool - successes - draws + ks + 1)
-            - (gammaln(pool + 1) - gammaln(draws + 1) - gammaln(pool - draws + 1))
+            _log_factorial(successes)
+            - _log_factorial(ks)
+            - _log_factorial(successes - ks)
+            + _log_factorial(pool - successes)
+            - _log_factorial(draws - ks)
+            - _log_factorial(pool - successes - draws + ks)
+            - (_log_factorial(pool) - _log_factorial(draws) - _log_factorial(pool - draws))
         )
         out[lo : hi + 1] = np.exp(log_p)
     return out
@@ -304,3 +307,76 @@ def stationary_exact(dense: np.ndarray) -> list[Fraction]:
         pi[r] = -sum(A[r][c] * pi[c] for c in range(r + 1, n)) / A[r][r]
     total = sum(pi)
     return [p / total for p in pi]
+
+
+def _simulate_block(u: np.ndarray, i_c: int, i_d: int, z: int, mu: float,
+                    fermi: list, pair_move: list, offsets: np.ndarray,
+                    counts: np.ndarray, start_step: int, burn_in: int,
+                    stride: int, traj: np.ndarray, n_traj: int) -> tuple[int, int, int]:
+    """Per-step reference for `coaldyn.markov._simulate_steps`, with its signature.
+
+    ``u`` has one row of four uniforms per step: focal pick, mutation test,
+    shared choice (mutation target or role model), Fermi acceptance.  Each
+    step is taken in full, one after another, from the same stride-4 stream,
+    so a run equals the engine's whatever the block size.  ``fermi[i_c][i_d]``
+    is the state's row of Fermi probabilities and ``pair_move[x][y]`` the
+    move index, both nested lists.
+    """
+    n_steps = u.shape[0]
+    for i in range(n_steps):
+        focal = int(u[i, 0] * z)
+        if focal >= z:
+            focal = z - 1
+        if focal < i_c:
+            strat_f = 0
+        elif focal < i_c + i_d:
+            strat_f = 1
+        else:
+            strat_f = 2
+
+        strat_t = -1
+        if u[i, 1] < mu:
+            # Mutation: adopt one of the two other strategies, fair coin.
+            if strat_f == 0:
+                strat_t = 1 if u[i, 2] < 0.5 else 2
+            elif strat_f == 1:
+                strat_t = 0 if u[i, 2] < 0.5 else 2
+            else:
+                strat_t = 0 if u[i, 2] < 0.5 else 1
+        else:
+            role = int(u[i, 2] * (z - 1))
+            if role >= z - 1:
+                role = z - 2
+            if role >= focal:
+                role += 1
+            if role < i_c:
+                strat_r = 0
+            elif role < i_c + i_d:
+                strat_r = 1
+            else:
+                strat_r = 2
+            if strat_r != strat_f:
+                move = pair_move[strat_f][strat_r]
+                if u[i, 3] < fermi[i_c][i_d][move]:
+                    strat_t = strat_r
+
+        if strat_t >= 0:
+            if strat_f == 0:
+                i_c -= 1
+            elif strat_f == 1:
+                i_d -= 1
+            if strat_t == 0:
+                i_c += 1
+            elif strat_t == 1:
+                i_d += 1
+
+        step = start_step + i
+        if step >= burn_in:
+            counts[offsets[i_c] + i_d] += 1
+        if stride > 0 and (step + 1) % stride == 0:
+            k = (step + 1) // stride - 1
+            if k < n_traj:
+                traj[k, 0] = step
+                traj[k, 1] = i_c
+                traj[k, 2] = i_d
+    return i_c, i_d, start_step + n_steps

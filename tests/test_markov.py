@@ -8,11 +8,18 @@ chains.  The sparse LU solve is a fifth, for chains too large for those.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
+
+import coaldyn
 
 from coaldyn import (
     BenefitFunction,
@@ -32,6 +39,7 @@ from coaldyn.markov import (
     StateIndex,
     _direct_solve,
     _power_iteration,
+    _residual,
     fitness_tables,
     literal_row_sum_max,
 )
@@ -159,6 +167,52 @@ def test_underflowing_mutation_leaves_the_chain_reducible():
     # mu / 2 rounds to zero, so nothing leaves the all-outsider state.
     with pytest.raises(ReducibleChainError, match="not strongly connected"):
         build_chain(params(10, mu=5e-324))
+
+
+def test_partly_underflowing_mutation_keeps_the_chain_connected():
+    # At mu = 1e-323 some moves out of occupied states round to zero, so the
+    # quick all-moves-open test fails and the graph search decides: the chain
+    # is still strongly connected, and the build succeeds.
+    model = build_chain(params(10, mu=1e-323))
+    idx = model.index
+    counts = np.column_stack([idx.i_c_of, idx.i_d_of, 10 - idx.i_c_of - idx.i_d_of])
+    present = counts[:, [x for x, _ in MOVES]] >= 1
+    assert np.any(model.move_probs[present] == 0.0)
+    assert connected_components(model.transitions, directed=True, connection="strong")[0] == 1
+
+
+@pytest.mark.parametrize("form, mu", [("scaled", 0.01), ("literal", 1e-4)])
+def test_residual_matches_the_sparse_product(form, mu):
+    model = build_chain(params(30, mu=mu, beta=0.3, alpha=4.0), mutation_form=form)
+    t_t = model.transitions.T.tocsr()
+    pi = stationary(model).pi
+    rough = np.random.default_rng(3).random(model.n_states)
+    for v in (pi, rough / rough.sum()):
+        assert abs(_residual(model, v) - float(np.max(np.abs(t_t @ v - v)))) <= 1e-18
+
+
+def test_default_path_never_imports_scipy():
+    """Building, solving, the gradient, the simulator and the flow field run on
+    numpy alone; the sparse matrix and the LU oracle still load scipy on demand."""
+    code = """
+import sys
+import numpy as np
+import coaldyn.experiments
+from coaldyn import BenefitFunction, GameParams, build_chain, flow_field, monte_carlo, selection_gradient, stationary
+p = GameParams(z=20, g_m=0.1, mu=0.01, beta=0.1, alpha=4.0, benefit=BenefitFunction.sigmoid())
+model = build_chain(p)
+levels = stationary(model)
+selection_gradient(model)
+monte_carlo(p, steps=2_000, seed=1)
+flow_field(p)
+assert not [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+assert model.transitions.nnz > model.n_states
+direct = stationary(model, method="direct")
+assert 0.5 * np.abs(levels.pi - direct.pi).sum() < 1e-12
+"""
+    src = str(Path(coaldyn.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_unknown_mutation_form_rejected():

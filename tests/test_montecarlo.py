@@ -1,9 +1,11 @@
-"""Individual-based simulator: determinism, kernels, and sanity."""
+"""Individual-based simulator: determinism, the kernel against its per-step reference, and sanity."""
 
 import numpy as np
 import pytest
 
 from coaldyn import BenefitFunction, CapacityError, GameParams, markov, monte_carlo
+
+from oracles import _simulate_block
 
 SIGMOID = BenefitFunction.sigmoid()
 
@@ -15,20 +17,20 @@ def params(z=12, **kw):
 
 
 def test_same_seed_reproduces_exactly():
-    a = monte_carlo(params(), steps=40_000, seed=3, use_numba=False)
-    b = monte_carlo(params(), steps=40_000, seed=3, use_numba=False)
+    a = monte_carlo(params(), steps=40_000, seed=3)
+    b = monte_carlo(params(), steps=40_000, seed=3)
     assert np.array_equal(a.occupancy, b.occupancy)
     assert np.array_equal(a.trajectory, b.trajectory)
 
 
 def test_different_seeds_differ():
-    a = monte_carlo(params(), steps=40_000, seed=3, use_numba=False)
-    b = monte_carlo(params(), steps=40_000, seed=4, use_numba=False)
+    a = monte_carlo(params(), steps=40_000, seed=3)
+    b = monte_carlo(params(), steps=40_000, seed=4)
     assert not np.array_equal(a.occupancy, b.occupancy)
 
 
 def test_block_size_does_not_change_the_stream():
-    kw = dict(steps=30_000, seed=9, use_numba=False)
+    kw = dict(steps=30_000, seed=9)
     a = monte_carlo(params(), block_size=30_000, **kw)
     b = monte_carlo(params(), block_size=1_000, **kw)
     c = monte_carlo(params(), block_size=7, **kw)
@@ -36,15 +38,6 @@ def test_block_size_does_not_change_the_stream():
     assert np.array_equal(a.occupancy, c.occupancy)
     assert np.array_equal(a.trajectory, b.trajectory)
     assert np.array_equal(a.trajectory, c.trajectory)
-
-
-def test_compiled_kernel_matches_pure_python():
-    pytest.importorskip("numba")
-    kw = dict(steps=50_000, seed=17, burn_in=1_000)
-    py = monte_carlo(params(), use_numba=False, **kw)
-    nb = monte_carlo(params(), use_numba=True, **kw)
-    assert np.array_equal(py.occupancy, nb.occupancy)
-    assert np.array_equal(py.trajectory, nb.trajectory)
 
 
 # (z, mu, initial, steps, burn_in, block_size, trajectory_samples); None keeps
@@ -69,22 +62,22 @@ PARITY_CASES = [
 @pytest.mark.parametrize("z, mu, initial, steps, burn_in, block_size, samples", PARITY_CASES)
 def test_interpreted_kernel_matches_per_step_reference(
         monkeypatch, z, mu, initial, steps, burn_in, block_size, samples):
-    """`_simulate_steps` gives what `_simulate_block`, run as plain Python, gives."""
+    """`_simulate_steps` gives what the per-step `oracles._simulate_block` gives."""
     kw = dict(steps=steps, seed=z + steps, burn_in=burn_in, initial=initial,
-              trajectory_samples=samples, use_numba=False)
+              trajectory_samples=samples)
     if block_size is not None:
         kw["block_size"] = block_size
     p = params(z, mu=mu)
     fast = monte_carlo(p, **kw)
     with monkeypatch.context() as m:
-        m.setattr(markov, "_get_kernel", lambda use_numba: markov._simulate_block)
+        m.setattr(markov, "_simulate_steps", _simulate_block)
         ref = monte_carlo(p, **kw)
     assert np.array_equal(fast.occupancy, ref.occupancy)
     assert np.array_equal(fast.trajectory, ref.trajectory)
 
 
 def test_occupancy_is_a_distribution():
-    res = monte_carlo(params(), steps=10_000, seed=1, burn_in=2_500, use_numba=False)
+    res = monte_carlo(params(), steps=10_000, seed=1, burn_in=2_500)
     assert res.occupancy.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(res.occupancy >= 0.0)
     assert res.steps == 10_000 and res.burn_in == 2_500
@@ -92,7 +85,7 @@ def test_occupancy_is_a_distribution():
 
 def test_trajectory_stride_and_contents():
     res = monte_carlo(
-        params(), steps=1_000, seed=2, trajectory_samples=10, use_numba=False
+        params(), steps=1_000, seed=2, trajectory_samples=10
     )
     assert res.trajectory.shape == (10, 3)
     np.testing.assert_array_equal(res.trajectory[:, 0], np.arange(99, 1_000, 100))
@@ -101,13 +94,13 @@ def test_trajectory_stride_and_contents():
 
 
 def test_trajectory_can_be_disabled():
-    res = monte_carlo(params(), steps=500, seed=2, trajectory_samples=0, use_numba=False)
+    res = monte_carlo(params(), steps=500, seed=2, trajectory_samples=0)
     assert res.trajectory.shape == (0, 3)
 
 
 def test_all_outsider_state_is_absorbing_without_mutation():
     res = monte_carlo(
-        params(mu=0.0), steps=5_000, seed=6, initial=(0, 0), use_numba=False
+        params(mu=0.0), steps=5_000, seed=6, initial=(0, 0)
     )
     assert res.occupancy[res.index.index_of(0, 0)] == 1.0
 
@@ -116,7 +109,7 @@ def test_extinct_strategy_stays_extinct_without_mutation():
     """Imitation can only copy strategies that are present."""
     res = monte_carlo(
         params(mu=0.0), steps=20_000, seed=8, initial=(6, 0),
-        trajectory_samples=200, use_numba=False,
+        trajectory_samples=200,
     )
     assert np.all(res.trajectory[:, 2] == 0)
 
@@ -128,6 +121,10 @@ def test_input_validation():
         monte_carlo(params(), steps=10, seed=1, burn_in=10)
     with pytest.raises(ValueError, match="simplex"):
         monte_carlo(params(), steps=10, seed=1, initial=(10, 10))
+    with pytest.raises(ValueError, match="integer"):
+        monte_carlo(params(), steps=10, seed=1, initial=(1.5, 2))
+    with pytest.raises(ValueError, match="trajectory_samples"):
+        monte_carlo(params(), steps=10, seed=1, trajectory_samples=-5)
     with pytest.raises(CapacityError):
         monte_carlo(params(z=40), steps=10, seed=1, max_states=50)
     for block_size in (0, -1):
