@@ -1,10 +1,14 @@
 """Experiment recipes: dispatch, deterministic writers, and run manifests.
 
 Every handler is a pure function of its ExperimentConfig: CSV and JSON
-outputs are byte-identical across reruns (floats are written in their
-shortest round-trip form, row order is fixed by the state indexing).  Each
-run finishes by writing ``manifest.json`` with the resolved configuration,
-package version, and a checksum per output file.
+outputs are byte-identical across reruns, and row order is fixed by the
+state indexing.  Every CSV row and SVG ``shade`` entry is a tuple of
+Python ints, floats and labels, with per-state columns taken from numpy
+by ``.tolist()``; an undefined value is NaN, never None.  `write_csv`
+writes each cell as its ``str()``, the shortest round-trip form for a
+float and ``nan`` for NaN.  Each run finishes by writing ``manifest.json``
+with the resolved configuration, package version, and a checksum per
+output file.
 """
 
 from __future__ import annotations
@@ -34,23 +38,11 @@ from .svg import simplex_svg
 
 # --- deterministic emission ---------------------------------------------
 
-def _fmt_cell(value) -> str:
-    if type(value) is float:  # the common case, first
-        return repr(value)
-    if value is None:
-        return "nan"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    return repr(float(value))
-
-
 def write_csv(path: Path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(map(_fmt_cell, row)) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _json_safe(value):
@@ -119,15 +111,11 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 
 # --- shared pieces --------------------------------------------------------
 
-def _state_columns(index: StateIndex):
-    """(i_C, i_D, x, y) per state, x None where no member exists."""
-    z = index.z
-    for s in range(index.n_states):
-        i_c = int(index.i_c_of[s])
-        i_d = int(index.i_d_of[s])
-        i_m = i_c + i_d
-        x = i_c / i_m if i_m else None
-        yield i_c, i_d, x, i_m / z
+def _state_columns(index: StateIndex) -> tuple[list, list, list, list]:
+    """The (i_C, i_D, x, y) columns in state order, x NaN where no member exists."""
+    i_m = index.i_c_of + index.i_d_of
+    x = np.divide(index.i_c_of, i_m, out=np.full(index.n_states, np.nan), where=i_m > 0)
+    return index.i_c_of.tolist(), index.i_d_of.tolist(), x.tolist(), (i_m / index.z).tolist()
 
 
 def _simplex_arrows(z: int, i_c, i_d, d_c, d_d, speed) -> list[tuple[int, int, float, float, float]]:
@@ -148,13 +136,12 @@ def _stationary_outputs(cfg: ExperimentConfig, params: GameParams, tag: str,
     index = model.index
     written: list[Path] = []
 
+    # Each column list is built inside the call that writes it, so none
+    # outlives its writer: hoisting them raises the sweep's peak RSS.
     if "csv" in cfg.formats:
         path = cfg.out_dir / f"stationary{tag}.csv"
-        rows = (
-            (i_c, i_d, x, y, float(result.pi[index.index_of(i_c, i_d)]))
-            for i_c, i_d, x, y in _state_columns(index)
-        )
-        write_csv(path, ("i_C", "i_D", "x", "y", "pi"), rows)
+        write_csv(path, ("i_C", "i_D", "x", "y", "pi"),
+                  zip(*_state_columns(index), result.pi.tolist()))
         written.append(path)
 
     grad = None
@@ -162,29 +149,21 @@ def _stationary_outputs(cfg: ExperimentConfig, params: GameParams, tag: str,
         grad = selection_gradient(model)
         if "csv" in cfg.formats:
             path = cfg.out_dir / f"gradient{tag}.csv"
-            rows = (
-                (i_c, i_d, x, y,
-                 _nan_none(grad.grad_x[index.index_of(i_c, i_d)]),
-                 float(grad.grad_y[index.index_of(i_c, i_d)]),
-                 float(grad.speed[index.index_of(i_c, i_d)]))
-                for i_c, i_d, x, y in _state_columns(index)
-            )
-            write_csv(path, ("i_C", "i_D", "x", "y", "grad_x", "grad_y", "speed"), rows)
+            write_csv(path, ("i_C", "i_D", "x", "y", "grad_x", "grad_y", "speed"),
+                      zip(*_state_columns(index), grad.grad_x.tolist(), grad.grad_y.tolist(),
+                          grad.speed.tolist()))
             written.append(path)
 
     if "svg" in cfg.formats:
-        shade = [
-            (int(index.i_c_of[s]), int(index.i_d_of[s]), float(result.pi[s]))
-            for s in range(index.n_states)
-        ]
         arrows = None
         if grad is not None:
             arrows = _simplex_arrows(params.z, index.i_c_of, index.i_d_of,
                                      grad.drift_c, grad.drift_d, grad.speed)
         path = cfg.out_dir / f"panel{tag}.svg"
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(simplex_svg(params.z, shade=shade, arrows=arrows,
-                                 label=f"alpha = {params.alpha:g}"))
+            fh.write(simplex_svg(
+                params.z, arrows=arrows, label=f"alpha = {params.alpha:g}",
+                shade=zip(index.i_c_of.tolist(), index.i_d_of.tolist(), result.pi.tolist())))
         written.append(path)
 
     summary = {
@@ -199,10 +178,6 @@ def _stationary_outputs(cfg: ExperimentConfig, params: GameParams, tag: str,
         "method": result.method,
     }
     return written, summary
-
-
-def _nan_none(value: float):
-    return None if not math.isfinite(value) else float(value)
 
 
 # --- handlers -------------------------------------------------------------
@@ -345,8 +320,9 @@ def _run_k_profile(cfg: ExperimentConfig) -> list[Path]:
             state = PopulationState(i_c=i_c, i_d=i_m - i_c, z=z)
             cost = information_cost(p, state)
             r_term = mean_return(p, state) * (shares.eps1 + shares.eps2)
+            k_dropped = math.nan if cost.k_dropped is None else cost.k_dropped
             rows.append((alpha, i_c, i_m, n, i_c / i_m, i_m / z,
-                         cost.k_exact, cost.k_dropped, r_term))
+                         cost.k_exact, k_dropped, r_term))
             k_line.append(cost.k_exact)
         summary["alpha"].append(alpha)
         summary["max_abs_k_exact"].append(max(abs(k) for k in k_line))
@@ -409,9 +385,9 @@ def _run_s1_compare(cfg: ExperimentConfig) -> list[Path]:
                 uninformed, _ = replicator_field(p, state)
                 informed = informed_field(p, state).x_dot
                 x = i_c / i_m
-                # k_full is None on two-member and full coalitions: written as nan.
+                # k_full is None on two-member and full coalitions.
                 k_full = information_cost(p, state).k_full
-                k_flow = None if k_full is None else x * (1.0 - x) * p.c * k_full
+                k_flow = math.nan if k_full is None else x * (1.0 - x) * p.c * k_full
                 gap = max(gap, abs(uninformed - informed))
                 rows.append((z, alpha, i_m, n, i_c, x,
                              uninformed, informed, k_flow))
@@ -442,16 +418,12 @@ def _run_montecarlo(cfg: ExperimentConfig) -> list[Path]:
     written: list[Path] = []
     if "csv" in cfg.formats:
         path = cfg.out_dir / "occupancy.csv"
-        rows = (
-            (i_c, i_d, x, y, occ)
-            for (i_c, i_d, x, y), occ in zip(_state_columns(index), result.occupancy.tolist())
-        )
-        write_csv(path, ("i_C", "i_D", "x", "y", "occupancy"), rows)
+        write_csv(path, ("i_C", "i_D", "x", "y", "occupancy"),
+                  zip(*_state_columns(index), result.occupancy.tolist()))
         written.append(path)
 
         path = cfg.out_dir / "trajectory.csv"
-        write_csv(path, ("step", "i_C", "i_D"),
-                  ((int(a), int(b), int(c)) for a, b, c in result.trajectory))
+        write_csv(path, ("step", "i_C", "i_D"), result.trajectory.tolist())
         written.append(path)
     if "json" in cfg.formats:
         occ_summary = _summarize(index, result.occupancy)
@@ -468,14 +440,11 @@ def _run_montecarlo(cfg: ExperimentConfig) -> list[Path]:
         })
         written.append(path)
     if "svg" in cfg.formats:
-        shade = [
-            (int(index.i_c_of[s]), int(index.i_d_of[s]), float(result.occupancy[s]))
-            for s in range(index.n_states)
-        ]
         path = cfg.out_dir / "occupancy.svg"
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(simplex_svg(cfg.params.z, shade=shade,
-                                 label=f"{result.steps} steps, seed {result.seed}"))
+            fh.write(simplex_svg(
+                cfg.params.z, label=f"{result.steps} steps, seed {result.seed}",
+                shade=zip(index.i_c_of.tolist(), index.i_d_of.tolist(), result.occupancy.tolist())))
         written.append(path)
     return written
 

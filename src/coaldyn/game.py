@@ -33,9 +33,6 @@ __all__ = [
     "relative_benefit",
 ]
 
-MEMBER_STRATEGIES = ("C", "D")
-STRATEGIES = ("C", "D", "O")
-
 
 @dataclass(frozen=True)
 class GameParams:

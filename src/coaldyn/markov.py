@@ -41,8 +41,6 @@ from .errors import CapacityError, NonConvergenceError, ReducibleChainError
 from .game import GameParams
 from .sampling import fitness_table
 
-STRATEGY_NAMES = ("C", "D", "O")
-
 # Ordered strategy pairs (focal, role-model) and the (di_c, di_d) composition
 # change each induces.  Order is fixed: it defines move indices everywhere.
 MOVES: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
@@ -50,7 +48,6 @@ MOVE_DELTAS = np.array(
     [(-1, +1), (-1, 0), (+1, -1), (0, -1), (+1, 0), (0, +1)], dtype=np.int64
 )
 MOVE_DELTAS.setflags(write=False)
-MOVE_LABELS = tuple(f"{STRATEGY_NAMES[x]}>{STRATEGY_NAMES[y]}" for x, y in MOVES)
 
 # PAIR_TO_MOVE[x][y] -> move index, -1 on the diagonal.
 PAIR_TO_MOVE = np.full((3, 3), -1, dtype=np.int64)
@@ -117,6 +114,15 @@ def imitation_probability(params: GameParams, f_x, f_y):
     """
     p = expit(-params.beta * (np.asarray(f_x, dtype=float) - np.asarray(f_y, dtype=float)))
     return float(p) if np.ndim(p) == 0 else p
+
+
+def _fermi_table(params: GameParams, fits: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """(n_states, 6) table of p(X, Y) evaluated at every composition."""
+    n = fits[0].shape[0]
+    table = np.empty((n, 6))
+    for m, (x, y) in enumerate(MOVES):
+        table[:, m] = imitation_probability(params, fits[x], fits[y])
+    return table
 
 
 def literal_row_sum_max(z: int, mu: float) -> float:
@@ -225,9 +231,10 @@ def build_chain(params: GameParams, *, mutation_form: str = "scaled",
     )
 
     mu = params.mu
+    fermi = _fermi_table(params, fits)
     move_probs = np.empty((n, 6))
     for m, (x, y) in enumerate(MOVES):
-        p_xy = imitation_probability(params, fits[x], fits[y])
+        p_xy = fermi[:, m]
         if mutation_form == "scaled":
             move_probs[:, m] = (counts[x] / z) * (
                 (1.0 - mu) * (counts[y] / (z - 1)) * p_xy + mu / 2.0
@@ -500,15 +507,6 @@ def selection_gradient(model: MarkovModel) -> SelectionGradient:
 
 
 # --- individual-based simulator ---------------------------------------------
-
-def _fermi_table(params: GameParams, fits: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """(n_states, 6) table of p(X, Y) evaluated at every composition."""
-    n = fits[0].shape[0]
-    table = np.empty((n, 6))
-    for m, (x, y) in enumerate(MOVES):
-        table[:, m] = imitation_probability(params, fits[x], fits[y])
-    return table
-
 
 # Mutation target of a focal strategy, indexed by the role code
 # `_simulate_steps` gives a mutation step: -1 when the shared uniform is below 0.5, else -2.

@@ -56,13 +56,6 @@ class HypergeomSpec:
         if not 0 <= self.successes <= self.pool:
             raise ValueError(f"successes must lie in [0, pool], got {self}")
 
-    @property
-    def support(self) -> tuple[int, int]:
-        """Smallest and largest achievable success count in the sample."""
-        lo = max(0, self.draws - (self.pool - self.successes))
-        hi = min(self.draws, self.successes)
-        return lo, hi
-
 
 @lru_cache(maxsize=None)
 def _log_factorials(size: int) -> np.ndarray:
@@ -123,9 +116,6 @@ class FitnessTriple:
     f_c: float
     f_d: float
     f_o: float
-
-    def by_strategy(self, strategy: str) -> float:
-        return {"C": self.f_c, "D": self.f_d, "O": self.f_o}[strategy]
 
 
 def _payoff_grid(params: GameParams, n: int):
@@ -233,31 +223,16 @@ def fitness_table(params: GameParams) -> FitnessTable:
     return FitnessTable(params)
 
 
-def fitness_at(
-    params: GameParams, i_c: int, i_d: int, n_override: int | None = None
-) -> FitnessTriple:
+def fitness_at(params: GameParams, i_c: int, i_d: int) -> FitnessTriple:
     """Fitness triple at integer composition (i_c, i_d), read from `fitness_table`.
 
     Strategies nobody currently plays get fitness 0 by convention, as
     does everyone when the coalition has fewer than two members.
-    `n_override` pins the working-group size instead of deriving it
-    from the coalition size (used for matched-group comparisons); that
-    level is computed afresh and not memoised.
     """
     if i_c < 0 or i_d < 0 or i_c + i_d > params.z:
         raise ValueError(f"composition ({i_c}, {i_d}) invalid for z={params.z}")
-    if n_override is not None and n_override < 2:
-        raise ValueError(f"group-size override must be >= 2, got {n_override}")
-    i_m = i_c + i_d
-    if n_override is None:
-        f_c, f_d, f_o = fitness_table(params).level(i_m)[:, i_c].tolist()
-        return FitnessTriple(f_c, f_d, f_o)
-    if i_m < 2:
-        return FitnessTriple(0.0, 0.0, 0.0)
-    if n_override > i_m:
-        raise ValueError(f"group-size override {n_override} exceeds the coalition of {i_m}")
-    f_c, f_d, f_o = _level_fitness(params, i_m, n_override)[:, i_c].tolist()
-    return FitnessTriple(f_c, f_d, f_o if i_m < params.z else 0.0)
+    f_c, f_d, f_o = fitness_table(params).level(i_c + i_d)[:, i_c].tolist()
+    return FitnessTriple(f_c, f_d, f_o)
 
 
 def fitness(params: GameParams, state: PopulationState) -> FitnessTriple:

@@ -1,5 +1,6 @@
 """Config parsing, experiment dispatch, deterministic emission, CLI exit codes."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -11,12 +12,8 @@ from coaldyn import ConfigError, PopulationState, classify_state, informed_field
 from coaldyn.cli import main
 from coaldyn.config import ExperimentConfig, load_config
 from coaldyn.game import group_size
-from coaldyn.experiments import (
-    _fmt_cell,
-    _json_safe,
-    run_experiment,
-    write_csv,
-)
+from coaldyn.experiments import _json_safe, run_experiment, write_csv
+from coaldyn.markov import build_chain, monte_carlo, selection_gradient, stationary
 from coaldyn.svg import simplex_svg
 
 BASE = """
@@ -192,16 +189,14 @@ def test_missing_file_is_a_config_error(tmp_path):
 
 
 def test_cell_formatting_is_shortest_round_trip(tmp_path):
-    assert _fmt_cell(0.1) == "0.1"
-    assert _fmt_cell(1 / 3) == "0.3333333333333333"
-    assert _fmt_cell(np.float64(0.25)) == "0.25"
-    assert _fmt_cell(3) == "3"
-    assert _fmt_cell(np.int64(-4)) == "-4"
-    assert _fmt_cell(None) == "nan"
-    assert _fmt_cell(float("nan")) == "nan"
-    assert _fmt_cell("label") == "label"
-    for value in (0.1, 1 / 3, 7.25e-17):
-        assert float(_fmt_cell(value)) == value
+    path = tmp_path / "cells.csv"
+    row = (0.1, 1 / 3, np.float64(0.25), 3, np.int64(-4), "label", math.nan, 7.25e-17)
+    write_csv(path, [f"c{j}" for j in range(len(row))], [row])
+    cells = path.read_text().splitlines()[1].split(",")
+    assert cells == ["0.1", "0.3333333333333333", "0.25", "3", "-4", "label", "nan", "7.25e-17"]
+    for cell, value in zip(cells, row):
+        if isinstance(value, float) and not math.isnan(value):
+            assert float(cell) == value
 
 
 def test_json_safe_maps_nonfinite_to_null():
@@ -212,7 +207,7 @@ def test_json_safe_maps_nonfinite_to_null():
 
 def test_write_csv_layout(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ("a", "b"), [(1, 0.5), (2, None)])
+    write_csv(path, ("a", "b"), [(1, 0.5), (2, math.nan)])
     assert path.read_text() == "a,b\n1,0.5\n2,nan\n"
 
 
@@ -358,6 +353,46 @@ def test_recipes_dispatch(tmp_path):
     manifest2 = run_experiment(load_config(write_cfg(tmp_path, text, "s1.cfg"),
                                            out_dir=tmp_path / "s1", experiment="s1-compare"))
     assert "s1_summary.json" in manifest2.outputs
+
+
+def test_state_csvs_follow_state_order_and_carry_exact_values(tmp_path):
+    """Every handler's CSVs on the z = 12 config: no None cell, NaN written as
+    nan, and the per-state files hold each array entry, row s + 1 for state s."""
+    extra = "\nz_pair = 12 18\ngroup_size = 2\nburn_in = 500"
+    runs = {name: (name, extra) for name in ("field", "stationary", "sweep-alpha", "informed-map",
+                                             "k-profile", "s1-compare", "montecarlo")}
+    runs["k-profile-y1"] = ("k-profile", extra + "\ny_slice = 1")
+    tables = {}
+    for tag, (name, text) in runs.items():
+        text = BASE.replace("name = stationary", f"name = {name}" + text)
+        cfg = load_config(write_cfg(tmp_path, text), out_dir=tmp_path / tag)
+        run_experiment(cfg)
+        for path in cfg.out_dir.glob("*.csv"):
+            header, *rows = (line.split(",") for line in path.read_text().splitlines())
+            assert rows and not any("None" in row for row in rows), path
+            tables[f"{tag}/{path.name}"] = header, rows
+
+    header, rows = tables["k-profile-y1/k_profile.csv"]
+    assert {row[header.index("k_dropped")] for row in rows} == {"nan"}
+
+    p = cfg.params
+    model = build_chain(p)
+    index = model.index
+    expected = {
+        "stationary/stationary.csv": [stationary(model, method=cfg.method).pi],
+        "montecarlo/occupancy.csv": [monte_carlo(p, cfg.steps, cfg.seed, burn_in=cfg.burn_in).occupancy],
+    }
+    for alpha in cfg.values:
+        model = build_chain(dataclasses.replace(p, alpha=alpha))
+        grad = selection_gradient(model)
+        expected[f"sweep-alpha/stationary_alpha{alpha:g}.csv"] = [stationary(model, method=cfg.method).pi]
+        expected[f"sweep-alpha/gradient_alpha{alpha:g}.csv"] = [grad.grad_x, grad.grad_y, grad.speed]
+    for name, columns in expected.items():
+        _, rows = tables[name]
+        assert [(int(row[0]), int(row[1])) for row in rows] == list(zip(index.i_c_of, index.i_d_of))
+        for j, want in enumerate(columns):
+            got = np.array([float(row[4 + j]) for row in rows])
+            assert np.array_equal(got, want, equal_nan=True), (name, j)
 
 
 def test_reruns_are_byte_identical(tmp_path):

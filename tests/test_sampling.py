@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coaldyn import BenefitFunction, GameParams, PopulationState
-from coaldyn.sampling import FitnessTriple, fitness, fitness_at, fitness_table, hypergeom_pmf, pmf_row
+from coaldyn.sampling import (
+    FitnessTriple,
+    _level_fitness,
+    fitness,
+    fitness_at,
+    fitness_table,
+    hypergeom_pmf,
+    pmf_row,
+)
 from coaldyn.game import group_size
 
 from oracles import (
@@ -150,13 +158,14 @@ def test_fitness_matches_subset_enumeration(i_c, i_d):
 
 
 def test_fitness_enumeration_with_override():
-    # the same oracle drives the matched-group-size path
+    # a working group of 4 in a coalition of 8, not group_size(8)
     p = small_params()
+    assert group_size(p, 8) != 4
     want = fitness_by_enumeration(p, 3, 5, n=4)
-    got = fitness_at(p, 3, 5, n_override=4)
-    assert got.f_c == pytest.approx(want[0], abs=1e-10)
-    assert got.f_d == pytest.approx(want[1], abs=1e-10)
-    assert got.f_o == pytest.approx(want[2], abs=1e-10)
+    got = _level_fitness(p, 8, 4)[:, 3]
+    assert got[0] == pytest.approx(want[0], abs=1e-10)
+    assert got[1] == pytest.approx(want[1], abs=1e-10)
+    assert got[2] == pytest.approx(want[2], abs=1e-10)
 
 
 @given(
@@ -210,8 +219,6 @@ def test_fitness_rejects_invalid_composition():
         fitness_at(p, 7, 6)
     with pytest.raises(ValueError):
         fitness_at(p, -1, 3)
-    with pytest.raises(ValueError):
-        fitness_at(p, 3, 3, n_override=1)
 
 
 # ------------------------------------------------------------- fitness table
@@ -282,11 +289,6 @@ def test_fitness_table_builds_only_the_levels_read():
     assert table._built == [i_m in (0, 1, 5) for i_m in range(p.z + 1)]
     table.grid()
     assert all(table._built)
-
-
-def test_fitness_override_larger_than_coalition_is_rejected():
-    with pytest.raises(ValueError):
-        fitness_at(small_params(), 2, 2, n_override=5)
 
 
 def test_fitness_memo_stays_bounded():
