@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,15 @@ class BenefitFunction:
                 rows.append((float(row[0]), float(row[1])))
         return cls.tabulated(rows)
 
+    @cached_property
+    def _sigmoid_ends(self):
+        """The sigmoid's F(0) and F(scale), which no argument changes.
+
+        Cached on the instance, outside the dataclass fields, so equality,
+        hashing and `dataclasses.asdict` see only the shape parameters.
+        """
+        return expit(self.steepness * self.threshold), expit(-self.steepness * (1.0 - self.threshold))
+
     def __call__(self, total, scale: float):
         """Evaluate B(total) for a group whose full pool would be `scale`."""
         if scale <= 0:
@@ -137,8 +147,7 @@ class BenefitFunction:
         elif self.kind == "sigmoid":
             # expit(-u) == 1/(1+e^u); rescale so the end points are exact
             f = expit(-self.steepness * (total / scale - self.threshold))
-            f0 = expit(self.steepness * self.threshold)
-            f1 = expit(-self.steepness * (1.0 - self.threshold))
+            f0, f1 = self._sigmoid_ends
             out = self.amplitude * (f - f0) / (f1 - f0)
         elif self.kind == "tabulated":
             cs = np.array([c for c, _ in self.knots])

@@ -6,7 +6,10 @@ state indexing.  Every CSV row and SVG ``shade`` entry is a tuple of
 Python ints, floats and labels, with per-state columns taken from numpy
 by ``.tolist()``; an undefined value is NaN, never None.  `write_csv`
 writes each cell as its ``str()``, the shortest round-trip form for a
-float and ``nan`` for NaN.  Each run finishes by writing ``manifest.json``
+float and ``nan`` for NaN.  The i_C, i_D, x and y cells of a state are
+the same text in every per-state CSV, so `_state_prefix` formats them
+once per population size and rows lead with that one string.  Each run
+finishes by writing ``manifest.json``
 with the resolved configuration, package version, and a checksum per
 output file.
 """
@@ -20,6 +23,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -111,11 +115,23 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 
 # --- shared pieces --------------------------------------------------------
 
-def _state_columns(index: StateIndex) -> tuple[list, list, list, list]:
-    """The (i_C, i_D, x, y) columns in state order, x NaN where no member exists."""
+@lru_cache(maxsize=1)
+def _state_prefix(z: int) -> tuple[str, ...]:
+    """The "i_C,i_D,x,y" text of every state, in state order, x nan where no member exists.
+
+    Formatted once per population size: every panel of a sweep shares it.
+    """
+    index = StateIndex.for_population(z)
     i_m = index.i_c_of + index.i_d_of
     x = np.divide(index.i_c_of, i_m, out=np.full(index.n_states, np.nan), where=i_m > 0)
-    return index.i_c_of.tolist(), index.i_d_of.tolist(), x.tolist(), (i_m / index.z).tolist()
+    y = (np.arange(z + 1) / z).tolist()
+    return tuple(f"{i_c},{i_d},{xv},{y[m]}" for i_c, i_d, xv, m in zip(
+        index.i_c_of.tolist(), index.i_d_of.tolist(), x.tolist(), i_m.tolist()))
+
+
+def _prefix_of(z: int, i_c: np.ndarray, i_d: np.ndarray):
+    """The `_state_prefix` text of the states (i_c, i_d), in the given order."""
+    return map(_state_prefix(z).__getitem__, StateIndex.for_population(z).index_of(i_c, i_d).tolist())
 
 
 def _simplex_arrows(z: int, i_c, i_d, d_c, d_d, speed) -> list[tuple[int, int, float, float, float]]:
@@ -141,7 +157,7 @@ def _stationary_outputs(cfg: ExperimentConfig, params: GameParams, tag: str,
     if "csv" in cfg.formats:
         path = cfg.out_dir / f"stationary{tag}.csv"
         write_csv(path, ("i_C", "i_D", "x", "y", "pi"),
-                  zip(*_state_columns(index), result.pi.tolist()))
+                  zip(_state_prefix(index.z), result.pi.tolist()))
         written.append(path)
 
     grad = None
@@ -150,7 +166,7 @@ def _stationary_outputs(cfg: ExperimentConfig, params: GameParams, tag: str,
         if "csv" in cfg.formats:
             path = cfg.out_dir / f"gradient{tag}.csv"
             write_csv(path, ("i_C", "i_D", "x", "y", "grad_x", "grad_y", "speed"),
-                      zip(*_state_columns(index), grad.grad_x.tolist(), grad.grad_y.tolist(),
+                      zip(_state_prefix(index.z), grad.grad_x.tolist(), grad.grad_y.tolist(),
                           grad.speed.tolist()))
             written.append(path)
 
@@ -188,7 +204,10 @@ def _run_field(cfg: ExperimentConfig) -> list[Path]:
     written: list[Path] = []
     if "csv" in cfg.formats:
         path = cfg.out_dir / "field.csv"
-        write_csv(path, field.COLUMNS, field.rows())
+        write_csv(path, field.COLUMNS, zip(
+            _prefix_of(params.z, field.i_c, field.i_d),
+            *(col.tolist() for col in (field.x_dot, field.y_dot, field.mean_r, field.mean_b,
+                                       field.k_exact, field.k_dropped))))
         written.append(path)
 
     points = find_fixed_points(params, grid_resolution=cfg.resolution)
@@ -286,7 +305,7 @@ def _run_informed_map(cfg: ExperimentConfig) -> list[Path]:
         k_rep = np.rint(x[level] * (n_m - 1))
         d_cd[level], d_do[level], d_co[level], labels[level] = gains_on_grid(params, k_rep, n_m)
     signs = (np.sign(d).astype(int).tolist() for d in (d_cd, d_do, d_co))
-    rows = zip(i_c.tolist(), (i_m - i_c).tolist(), x.tolist(), (i_m / z).tolist(), n.tolist(),
+    rows = zip(_prefix_of(z, i_c, i_m - i_c), n.tolist(),
                d_cd.tolist(), d_do.tolist(), d_co.tolist(), *signs, labels.tolist(),
                x_dot.tolist(), y_dot.tolist())
     label_counts = dict(Counter(label or "none" for label in labels.tolist()))
@@ -419,7 +438,7 @@ def _run_montecarlo(cfg: ExperimentConfig) -> list[Path]:
     if "csv" in cfg.formats:
         path = cfg.out_dir / "occupancy.csv"
         write_csv(path, ("i_C", "i_D", "x", "y", "occupancy"),
-                  zip(*_state_columns(index), result.occupancy.tolist()))
+                  zip(_state_prefix(index.z), result.occupancy.tolist()))
         written.append(path)
 
         path = cfg.out_dir / "trajectory.csv"

@@ -224,12 +224,6 @@ class FlowField:
 
     COLUMNS = ("i_C", "i_D", "x", "y", "x_dot", "y_dot", "mean_R", "mean_b", "K_exact", "K_dropped")
 
-    def rows(self):
-        """Per-state tuples in the COLUMNS order, as Python ints and floats."""
-        return zip(*(col.tolist() for col in (
-            self.i_c, self.i_d, self.x, self.y, self.x_dot, self.y_dot,
-            self.mean_r, self.mean_b, self.k_exact, self.k_dropped)))
-
 
 def flow_field(params: GameParams) -> FlowField:
     """Evaluate the replicator field and its K diagnostics on the interior grid.
@@ -318,19 +312,18 @@ class _InterpolatedField:
         fd[m, m] = fc[m, m] - (fc[m, m - 1] - fd[m, m - 1])
         fo[z, : z + 1] = table.f_o_full
         self.fc_rows, self.fd_rows, self.fo_rows = fc, fd, fo
+        self.nodes = [None, None] + [np.arange(i_m + 1) / i_m for i_m in range(2, z + 1)]
 
-    def _row_eval(self, i_m: int, x: float) -> tuple[float, float, float]:
+    def _row_eval(self, i_m: int, x):
+        """Row i_m's (f_C, f_D, f_O) at x, a float or an array of them."""
         if i_m < 2:
             return 0.0, 0.0, 0.0
-        nodes = np.arange(i_m + 1) / i_m
         row = slice(0, i_m + 1)
-        return (
-            float(np.interp(x, nodes, self.fc_rows[i_m, row])),
-            float(np.interp(x, nodes, self.fd_rows[i_m, row])),
-            float(np.interp(x, nodes, self.fo_rows[i_m, row])),
-        )
+        return tuple(np.interp(x, self.nodes[i_m], f[i_m, row])
+                     for f in (self.fc_rows, self.fd_rows, self.fo_rows))
 
-    def fitness_values(self, x: float, y: float) -> tuple[float, float, float]:
+    def fitness_values(self, x, y: float) -> tuple[float, float, float]:
+        """Interpolated (f_C, f_D, f_O) at (x, y); x may be an array, y is one float."""
         t = y * self.z
         j0 = int(min(max(np.floor(t), 0), self.z - 1))
         frac = t - j0
@@ -338,8 +331,8 @@ class _InterpolatedField:
         hi = self._row_eval(j0 + 1, x)
         return tuple((1.0 - frac) * a + frac * b for a, b in zip(lo, hi))
 
-    def reduced(self, x: float, y: float) -> tuple[float, float]:
-        """(f_C - f_D, mixed member fitness - f_O): zero at interior rest points."""
+    def reduced(self, x, y: float) -> tuple[float, float]:
+        """(f_C - f_D, mixed member fitness - f_O): zero at interior rest points; x as above."""
         fc, fd, fo = self.fitness_values(x, y)
         return fc - fd, x * fc + (1.0 - x) * fd - fo
 
@@ -398,8 +391,7 @@ def find_fixed_points(params: GameParams, grid_resolution: int = 40) -> list[Fix
     g1 = np.empty((len(ys), len(xs)))
     g2 = np.empty((len(ys), len(xs)))
     for a, yy in enumerate(ys):
-        for b, xx in enumerate(xs):
-            g1[a, b], g2[a, b] = interp.reduced(xx, yy)
+        g1[a], g2[a] = interp.reduced(xs, yy)
 
     def newton(x0: float, y0: float):
         pt = np.array([x0, y0])

@@ -141,8 +141,11 @@ def _level_draws(i_m: int, n: int) -> np.ndarray:
     """Co-member draw in a coalition of i_m with groups of n: row s has s cooperating others.
 
     A focal cooperator at i_c cooperators reads row i_c - 1, a focal
-    defector row i_c.
+    defector row i_c.  A group of the whole coalition draws every other
+    member, so its draw is the identity, exactly what the kernel yields.
     """
+    if n == i_m:
+        return np.eye(i_m)
     return _hypergeom_rows(i_m - 1, n - 1, np.arange(i_m))
 
 

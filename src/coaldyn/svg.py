@@ -10,6 +10,9 @@ arrow colour ramp are fixed monotone transforms of the raw values.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+
+import numpy as np
 
 _WIDTH = 640.0
 _HEIGHT = 620.0
@@ -30,6 +33,23 @@ def _point(i_c: float, i_d: float, z: int) -> tuple[float, float]:
 
 def _f(v: float) -> str:
     return f"{v:.2f}"
+
+
+@lru_cache(maxsize=1)
+def _dot_prefixes(z: int) -> tuple[str, ...]:
+    """Each state's shade dot up to its opacity value, in state order.
+
+    States run over (i_c, i_d) lexicographically, as in the chain's state
+    index; coordinates follow `_point`'s arithmetic term by term.
+    """
+    i_c, col = np.triu_indices(z + 1)
+    i_d = col - i_c
+    i_o = z - i_c - i_d
+    px = (i_c * _V_C[0] + i_d * _V_D[0] + i_o * _V_O[0]) / z
+    py = (i_c * _V_C[1] + i_d * _V_D[1] + i_o * _V_O[1]) / z
+    r = _f(min(9.0, max(2.2, 380.0 / z)))
+    return tuple(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r}" fill="#1f2430" fill-opacity="'
+                 for x, y in zip(px.tolist(), py.tolist()))
 
 
 def _ramp(t: float) -> str:
@@ -71,18 +91,15 @@ def simplex_svg(z: int, *, shade=None, arrows=None, label: str = "") -> str:
         shade = list(shade)
         vmax = max((s[2] for s in shade), default=0.0)
         if vmax > 0.0:
-            radius = min(9.0, max(2.2, 380.0 / z))
+            dots = _dot_prefixes(z)
             for i_c, i_d, value in shade:
                 if value <= 0.0:
                     continue
                 opacity = math.sqrt(value / vmax)
                 if opacity < 0.004:
                     continue
-                px, py = _point(i_c, i_d, z)
-                parts.append(
-                    f'<circle cx="{_f(px)}" cy="{_f(py)}" r="{_f(radius)}" '
-                    f'fill="#1f2430" fill-opacity="{opacity:.3f}"/>'
-                )
+                # (i_c, i_d)'s position in state order.
+                parts.append(f'{dots[i_c * (2 * z + 3 - i_c) // 2 + i_d]}{opacity:.3f}"/>')
 
     if arrows is not None:
         arrows = list(arrows)

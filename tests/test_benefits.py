@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -24,6 +26,17 @@ def test_sigmoid_endpoints_normalized():
     for scale in (3.0, 10.0, 100.0, 250.0):
         assert abs(b(0.0, scale)) < 1e-9
         assert abs(b(scale, scale) - 100.0) < 1e-9
+
+
+def test_sigmoid_end_points_cached_outside_the_fields():
+    b = BenefitFunction.sigmoid(amplitude=80.0, steepness=30.0, threshold=0.4)
+    before = (dataclasses.asdict(b), hash(b))
+    b(np.arange(11.0), 10.0)
+    assert "_sigmoid_ends" in vars(b)
+    assert (dataclasses.asdict(b), hash(b)) == before
+    assert b == BenefitFunction.sigmoid(amplitude=80.0, steepness=30.0, threshold=0.4)
+    f0, f1 = b._sigmoid_ends
+    assert (f0, f1) == (1.0 / (1.0 + np.exp(-12.0)), 1.0 / (1.0 + np.exp(18.0)))
 
 
 @given(

@@ -12,9 +12,9 @@ from coaldyn import ConfigError, PopulationState, classify_state, informed_field
 from coaldyn.cli import main
 from coaldyn.config import ExperimentConfig, load_config
 from coaldyn.game import group_size
-from coaldyn.experiments import _json_safe, run_experiment, write_csv
-from coaldyn.markov import build_chain, monte_carlo, selection_gradient, stationary
-from coaldyn.svg import simplex_svg
+from coaldyn.experiments import _json_safe, _state_prefix, run_experiment, write_csv
+from coaldyn.markov import StateIndex, build_chain, monte_carlo, selection_gradient, stationary
+from coaldyn.svg import _dot_prefixes, _f, _point, simplex_svg
 
 BASE = """
 [game]
@@ -221,6 +221,32 @@ def test_svg_is_deterministic_and_wellformed():
     assert "alpha = 2" in one
 
 
+def test_dot_prefixes_follow_point_arithmetic():
+    for z in (12, 60):
+        radius = _f(min(9.0, max(2.2, 380.0 / z)))
+        want = []
+        for i_c in range(z + 1):
+            for i_d in range(z + 1 - i_c):
+                px, py = _point(i_c, i_d, z)
+                want.append(f'<circle cx="{_f(px)}" cy="{_f(py)}" r="{radius}" '
+                            'fill="#1f2430" fill-opacity="')
+        assert list(_dot_prefixes(z)) == want
+
+
+def test_state_prefix_is_the_text_of_the_state_columns():
+    for z in (1, 2, 12, 60):
+        index = StateIndex.for_population(z)
+        i_m = index.i_c_of + index.i_d_of
+        with np.errstate(invalid="ignore"):
+            x = index.i_c_of / i_m
+        y = i_m / z
+        want = [f"{str(a)},{str(b)},{str(c)},{str(d)}"
+                for a, b, c, d in zip(index.i_c_of, index.i_d_of, x, y)]
+        got = _state_prefix(z)
+        assert list(got) == want
+        assert got[0] == "0,0,nan,0.0"
+
+
 # --- experiment handlers ------------------------------------------------------
 
 
@@ -312,9 +338,14 @@ def test_informed_map_matches_pointwise_functions(tmp_path):
     lines = (tmp_path / "out" / "informed_map.csv").read_text().splitlines()[1:]
     want_states = [(i_c, i_m - i_c) for i_m in range(2, z + 1) for i_c in range(i_m + 1)]
     assert len(lines) == len(want_states)
-    for line, (i_c, i_d) in zip(lines, want_states):
+    m_col, c_col = np.tril_indices(z + 1)
+    keep = m_col >= 2
+    m_col, c_col = m_col[keep], c_col[keep]
+    columns = (c_col, m_col - c_col, c_col / m_col, m_col / z)
+    for j, (line, (i_c, i_d)) in enumerate(zip(lines, want_states)):
         cells = line.split(",")
         assert (int(cells[0]), int(cells[1])) == (i_c, i_d)
+        assert cells[:4] == [str(a[j]) for a in columns]
         i_m = i_c + i_d
         n = group_size(p, i_m)
         k_rep = round(i_c / i_m * (n - 1))

@@ -1,5 +1,6 @@
 """Rest-point location and classification on the interpolated field."""
 
+import numpy as np
 import pytest
 
 from coaldyn import BenefitFunction, GameParams, find_fixed_points
@@ -96,3 +97,14 @@ def test_points_sorted_and_interior():
     for fp in pts:
         assert 0.0 < fp.x < 1.0
         assert 0.0 < fp.y < 1.0
+
+
+def test_row_scan_equals_pointwise_calls():
+    """One array call per mesh row gives exactly the scalar values of every mesh point."""
+    z, res = 60, 40
+    interp = _InterpolatedField(params(z=z, alpha=4.0))
+    xs = np.linspace(1e-3, 1.0 - 1e-3, res + 1)
+    for y in np.linspace(2.0 / z + 1e-9, 1.0 - 1e-3, res + 1):
+        g1, g2 = interp.reduced(xs, y)
+        want = np.array([interp.reduced(x, y) for x in xs.tolist()])
+        assert np.array_equal(g1, want[:, 0]) and np.array_equal(g2, want[:, 1])

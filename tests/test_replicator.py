@@ -17,6 +17,8 @@ from coaldyn import (
     information_cost,
     replicator_field,
 )
+from coaldyn.config import ExperimentConfig
+from coaldyn.experiments import run_experiment
 from coaldyn.game import effective_shares, group_size
 from coaldyn.replicator import mean_benefit, mean_return
 
@@ -186,8 +188,9 @@ def test_large_alpha_cancellation_ratio_small():
         assert ratio == pytest.approx(want, abs=5e-4)
 
 
-def test_flow_field_table_consistency():
-    """flow_field equals the pointwise functions at every interior state."""
+def test_flow_field_table_consistency(tmp_path):
+    """flow_field equals the pointwise functions at every interior state,
+    and field.csv leads each row with the text of its state columns."""
     p = params(z=30, g_m=2 / 30, alpha=4.0)
     field = flow_field(p)
     states = list(interior_states(30))
@@ -208,4 +211,9 @@ def test_flow_field_table_consistency():
         assert field.mean_b[j] == pytest.approx(mean_benefit(p, s), rel=1e-12, abs=0.0)
     assert np.isnan(field.k_dropped[0])  # the two-member coalition (1, 1)
     assert field.COLUMNS[0] == "i_C" and len(field.COLUMNS) == 10
-    assert len(next(iter(field.rows()))) == len(field.COLUMNS)
+    run_experiment(ExperimentConfig(params=p, experiment="field", out_dir=tmp_path, formats=("csv",)))
+    header, *rows = (line.split(",") for line in (tmp_path / "field.csv").read_text().splitlines())
+    assert tuple(header) == field.COLUMNS and len(rows) == len(states)
+    for j, row in enumerate(rows):
+        assert len(row) == len(field.COLUMNS)
+        assert row[:4] == [str(a[j]) for a in (field.i_c, field.i_d, field.x, field.y)]

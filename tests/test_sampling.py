@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from coaldyn import BenefitFunction, GameParams, PopulationState
 from coaldyn.sampling import (
     FitnessTriple,
+    _hypergeom_rows,
+    _level_draws,
     _level_fitness,
     fitness,
     fitness_at,
@@ -266,6 +268,14 @@ def test_hypergeometric_rows_match_per_row_formula():
     for pool, draws in ((0, 0), (1, 1), (9, 4), (59, 20), (199, 199)):
         for s in sorted({0, pool // 3, pool}):
             assert np.array_equal(pmf_row(pool, draws, s), pmf_row_formula(pool, draws, s))
+
+
+def test_whole_coalition_draw_is_the_kernel_identity():
+    """A group of the whole coalition skips the kernel; the kernel gives the same matrix."""
+    for m in range(2, 81):
+        got = _level_draws(m, m)
+        assert np.array_equal(got, _hypergeom_rows(m - 1, m - 1, np.arange(m))), m
+        assert np.array_equal(got, np.eye(m))
 
 
 def test_fitness_at_reads_the_table_with_zero_conventions():
