@@ -8,7 +8,8 @@ by ``.tolist()``; an undefined value is NaN, never None.  `write_csv`
 writes each cell as its ``str()``, the shortest round-trip form for a
 float and ``nan`` for NaN.  The i_C, i_D, x and y cells of a state are
 the same text in every per-state CSV, so `_state_prefix` formats them
-once per population size and rows lead with that one string.  Each run
+once per population size and rows lead with that one string; likewise
+`informed-map` formats each (N, k) gain cell once.  Each run
 finishes by writing ``manifest.json``
 with the resolved configuration, package version, and a checksum per
 output file.
@@ -24,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +34,12 @@ from . import __version__
 from .config import ExperimentConfig
 from .errors import ConfigError
 from .game import GameParams, PopulationState, effective_shares, group_size
-from .informed import gains_on_grid, informed_field, informed_field_grid
+from .informed import gains_on_grid, informed_field_grid
 # Not called here, but perfbench/tracing.py wraps these names on this module.
-from .informed import classify_state, marginal_gains  # noqa: F401
+from .informed import classify_state, informed_field, marginal_gains  # noqa: F401
 from .markov import StateIndex, _summarize, build_chain, monte_carlo, selection_gradient, stationary
-from .replicator import find_fixed_points, flow_field, information_cost, mean_return, replicator_field
+from .replicator import find_fixed_points, flow_field, information_cost, mean_return, replicator_field_grid
+from .replicator import replicator_field  # noqa: F401
 from .svg import simplex_svg
 
 
@@ -284,7 +287,22 @@ def _run_sweep_alpha(cfg: ExperimentConfig) -> list[Path]:
     return written
 
 
+def _gain_cells(params: GameParams, n: int) -> tuple[list[str], list[str]]:
+    """The "N,d_cd,d_do,d_co,sign_cd,sign_do,sign_co,label" text and the label of each k = 0..n-1."""
+    d_cd, d_do, d_co, labels = gains_on_grid(params, np.arange(n), n)
+    gains = (d_cd, d_do, d_co)
+    cols = [d.tolist() for d in gains] + [np.sign(d).astype(int).tolist() for d in gains]
+    labels = labels.tolist()
+    return [",".join(map(str, (n, *cell))) for cell in zip(*cols, labels)], labels
+
+
 def _run_informed_map(cfg: ExperimentConfig) -> list[Path]:
+    """Informed field and representative group-level gains at every state with a group.
+
+    The gains depend on the state only through its group size N and the
+    representative k, so each (N, k) cell, from N to the label, is
+    evaluated and formatted once, and every state of that cell shares the text.
+    """
     params = cfg.params
     z = params.z
     i_m, i_c = np.tril_indices(z + 1)
@@ -292,23 +310,23 @@ def _run_informed_map(cfg: ExperimentConfig) -> list[Path]:
     i_m, i_c = i_m[coalition], i_c[coalition]
     x = i_c / i_m
     x_dot, y_dot = informed_field_grid(params, i_m, i_c)
-    n = np.empty(len(i_m), dtype=int)
-    d_cd, d_do, d_co = (np.empty(len(i_m)) for _ in range(3))
-    labels = np.empty(len(i_m), dtype=object)
+    cells = {}  # group size N -> `_gain_cells(params, N)`
+    cell_text, labels = [], []
     start = 0
     for m in range(2, z + 1):
         level = slice(start, start + m + 1)
         start += m + 1
-        n[level] = n_m = group_size(params, m)
+        n_m = group_size(params, m)
+        if n_m not in cells:
+            cells[n_m] = _gain_cells(params, n_m)
+        text, label = cells[n_m]
         # Representative group-level gains: a group of n with the state's
         # cooperator share among the other n - 1 seats.
-        k_rep = np.rint(x[level] * (n_m - 1))
-        d_cd[level], d_do[level], d_co[level], labels[level] = gains_on_grid(params, k_rep, n_m)
-    signs = (np.sign(d).astype(int).tolist() for d in (d_cd, d_do, d_co))
-    rows = zip(_prefix_of(z, i_c, i_m - i_c), n.tolist(),
-               d_cd.tolist(), d_do.tolist(), d_co.tolist(), *signs, labels.tolist(),
-               x_dot.tolist(), y_dot.tolist())
-    label_counts = dict(Counter(label or "none" for label in labels.tolist()))
+        k_rep = np.rint(x[level] * (n_m - 1)).astype(int).tolist()
+        cell_text.extend(map(text.__getitem__, k_rep))
+        labels.extend(map(label.__getitem__, k_rep))
+    rows = zip(_prefix_of(z, i_c, i_m - i_c), cell_text, x_dot.tolist(), y_dot.tolist())
+    label_counts = dict(Counter(label or "none" for label in labels))
     written: list[Path] = []
     if "csv" in cfg.formats:
         path = cfg.out_dir / "informed_map.csv"
@@ -387,7 +405,10 @@ def _run_s1_compare(cfg: ExperimentConfig) -> list[Path]:
     The k column is the information-cost term on the flow scale,
     x(1-x) c (K_exact + K_dropped), computed from the cost decomposition
     rather than by subtraction — the two flow columns differ by exactly
-    this curve, and the emitted data lets a reader re-check that.
+    this curve, and the emitted data lets a reader re-check that.  Each
+    slice is read by `replicator_field_grid` and `informed_field_grid`,
+    which equal the pointwise functions exactly and build only the
+    fitness levels next to the slice.  max_gap ignores NaN gaps.
     """
     rows = []
     summary: dict = {"group_size": cfg.group_size, "populations": []}
@@ -397,20 +418,17 @@ def _run_s1_compare(cfg: ExperimentConfig) -> list[Path]:
         for alpha in cfg.values:
             p = dataclasses.replace(cfg.params, z=z, alpha=alpha)
             i_m = _matched_members(p, cfg.group_size)
-            n = group_size(p, i_m)
-            gap = 0.0
-            for i_c in range(1, i_m):
-                state = PopulationState(i_c=i_c, i_d=i_m - i_c, z=z)
-                uninformed, _ = replicator_field(p, state)
-                informed = informed_field(p, state).x_dot
-                x = i_c / i_m
-                # k_full is None on two-member and full coalitions.
-                k_full = information_cost(p, state).k_full
-                k_flow = math.nan if k_full is None else x * (1.0 - x) * p.c * k_full
-                gap = max(gap, abs(uninformed - informed))
-                rows.append((z, alpha, i_m, n, i_c, x,
-                             uninformed, informed, k_flow))
-            max_gaps.append(gap)
+            i_c = np.arange(1, i_m)
+            level = np.full(i_m - 1, i_m)
+            x, _, uninformed, _, k_exact, k_dropped = replicator_field_grid(p, level, i_c)
+            informed, _ = informed_field_grid(p, level, i_c)
+            # K_dropped, hence k, is NaN on two-member and full coalitions.
+            k_flow = x * (1.0 - x) * p.c * (k_exact + k_dropped)
+            gap = np.abs(uninformed - informed)
+            max_gaps.append(float(np.max(gap, initial=0.0, where=~np.isnan(gap))))
+            rows.extend(zip(repeat(z), repeat(alpha), repeat(i_m), repeat(group_size(p, i_m)),
+                            i_c.tolist(), x.tolist(), uninformed.tolist(), informed.tolist(),
+                            k_flow.tolist()))
         summary["populations"].append({
             "z": z,
             "alpha": list(cfg.values),

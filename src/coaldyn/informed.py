@@ -213,11 +213,12 @@ def informed_field(params: GameParams, state: PopulationState) -> InformedFlow:
 def informed_field_grid(params: GameParams, i_m: np.ndarray, i_c: np.ndarray):
     """`informed_field`'s (x_dot, y_dot) at the states (i_c, i_m - i_c), i_m >= 1.
 
-    Each switch gain is a shifted read of the fitness table, and a gain
-    whose pair weight vanishes counts as zero, with the arithmetic of
+    Each switch gain is a shifted read of the fitness table, which builds
+    only the levels from min(i_m) - 1 to max(i_m) + 1, and a gain whose
+    pair weight vanishes counts as zero, with the arithmetic of
     `informed_field`, so the two agree exactly.
     """
-    f_c, f_d, f_o = fitness_table(params).grid()
+    f_c, f_d, f_o = fitness_table(params).span(int(i_m.min()) - 1, int(i_m.max()) + 1)
     x = i_c / i_m
     y = i_m / params.z
     here_c, here_d, here_o = f_c[i_m, i_c], f_d[i_m, i_c], f_o[i_m, i_c]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameParams, PopulationState, group_size
-from .sampling import _level_draws, _payoff_grid, fitness, fitness_at, fitness_table, pmf_row
+from .sampling import _payoff_grid, fitness, fitness_at, fitness_table, pmf_row
 
 __all__ = [
     "InformationCost",
@@ -40,6 +40,7 @@ __all__ = [
     "mean_benefit",
     "information_cost",
     "flow_field",
+    "replicator_field_grid",
     "find_fixed_points",
 ]
 
@@ -83,14 +84,9 @@ def mean_return(params: GameParams, state: PopulationState) -> float:
     if state.i_m < 2 or i_c < 1 or i_d < 1:
         raise ValueError(f"mean_return needs both member kinds present, got {state}")
     n, row0, row1 = _member_rows(params, i_c, i_d)
-    produced = _produced_grid(params, n)
+    produced = _payoff_grid(params, n)[3]
     r_vals = (produced[1:] - produced[:-1]) / params.c
     return float((0.5 * (row0 + row1)) @ r_vals)
-
-
-def _produced_grid(params: GameParams, n: int) -> np.ndarray:
-    """Benefit on the contribution grid 0..n."""
-    return _payoff_grid(params, n)[3]
 
 
 def mean_benefit(params: GameParams, state: PopulationState) -> float:
@@ -103,7 +99,7 @@ def mean_benefit(params: GameParams, state: PopulationState) -> float:
     if state.i_m < 2:
         raise ValueError(f"mean_benefit needs a coalition of two or more, got {state}")
     n, row0, row1 = _member_rows(params, i_c, i_d)
-    b_vals = _produced_grid(params, n) / params.c
+    b_vals = _payoff_grid(params, n)[3] / params.c
     x = state.x
     out = 0.0
     if i_c >= 1:
@@ -225,20 +221,17 @@ class FlowField:
     COLUMNS = ("i_C", "i_D", "x", "y", "x_dot", "y_dot", "mean_R", "mean_b", "K_exact", "K_dropped")
 
 
-def flow_field(params: GameParams) -> FlowField:
-    """Evaluate the replicator field and its K diagnostics on the interior grid.
+def replicator_field_grid(params: GameParams, i_m: np.ndarray, i_c: np.ndarray):
+    """(x, y, x_dot, y_dot, K_exact, K_dropped) at the states (i_c, i_m - i_c).
 
-    Every column is read off the fitness table by shifted indexing, with the
-    arithmetic of the pointwise functions (`replicator_field`,
-    `information_cost`), so the two agree exactly; mean_R and mean_b come
-    from one hypergeometric matrix per coalition size.  Rows run over
-    i_m = 2..z and, within one, i_c = 1..i_m - 1.
+    Every state needs both member kinds present.  Each column is a shifted
+    read of the fitness table, which builds only the levels from
+    min(i_m) - 1 to max(i_m) + 1, with the arithmetic of the pointwise
+    functions (`replicator_field`, `information_cost`), so the two agree
+    exactly.  K_dropped is NaN where `information_cost` gives None.
     """
     z, c = params.z, params.c
-    f_c, f_d, f_o = fitness_table(params).grid()
-    i_m, i_c = np.tril_indices(z + 1, -1)
-    interior = i_c >= 1
-    i_m, i_c = i_m[interior], i_c[interior]
+    f_c, f_d, f_o = fitness_table(params).span(int(i_m.min()) - 1, int(i_m.max()) + 1)
     x = i_c / i_m
     y = i_m / z
     here_c, here_d = f_c[i_m, i_c], f_d[i_m, i_c]
@@ -250,22 +243,22 @@ def flow_field(params: GameParams) -> FlowField:
     entry_d = f_d[i_m + 1, i_c] - f_d[i_m, i_c - 1]
     k_dropped = np.where((i_m >= 3) & (i_m < z),
                          (1.0 - y) * (outsider - entry_c - entry_d) / (2.0 * c), np.nan)
+    return x, y, x_dot, y_dot, swap / (2.0 * c), k_dropped
 
-    mean_r = np.empty(len(i_m))
-    mean_b = np.empty(len(i_m))
-    start = 0
-    for m in range(2, z + 1):
-        n = group_size(params, m)
-        produced = _produced_grid(params, n)
-        r_vals = (produced[1:] - produced[:-1]) / c
-        b_vals = produced / c
-        # Row s of g: averages over the draw with s cooperating co-members;
-        # state i_c reads row i_c - 1 (focal cooperator) and row i_c (defector).
-        g = _level_draws(m, n) @ np.column_stack((r_vals, b_vals[1:], b_vals[:-1]))
-        level = slice(start, start + m - 1)
-        start += m - 1
-        mean_r[level] = 0.5 * (g[1:, 0] + g[:-1, 0])
-        mean_b[level] = x[level] * g[:-1, 1] + (1.0 - x[level]) * g[1:, 2]
+
+def flow_field(params: GameParams) -> FlowField:
+    """Evaluate the replicator field and its K diagnostics on the interior grid.
+
+    The field and K columns come from `replicator_field_grid`; mean_R and
+    mean_b from the fitness table's `means`, which builds each coalition
+    size's hypergeometric draw once for its fitness and its means.  Rows
+    run over i_m = 2..z and, within one, i_c = 1..i_m - 1.
+    """
+    mean_r, mean_b = fitness_table(params).means()
+    i_m, i_c = np.tril_indices(params.z + 1, -1)
+    interior = i_c >= 1
+    i_m, i_c = i_m[interior], i_c[interior]
+    x, y, x_dot, y_dot, k_exact, k_dropped = replicator_field_grid(params, i_m, i_c)
     return FlowField(
         params=params,
         i_c=i_c,
@@ -276,7 +269,7 @@ def flow_field(params: GameParams) -> FlowField:
         y_dot=y_dot,
         mean_r=mean_r,
         mean_b=mean_b,
-        k_exact=swap / (2.0 * c),
+        k_exact=k_exact,
         k_dropped=k_dropped,
     )
 
@@ -396,13 +389,20 @@ def find_fixed_points(params: GameParams, grid_resolution: int = 40) -> list[Fix
     def newton(x0: float, y0: float):
         pt = np.array([x0, y0])
         h = 1.0 / (4.0 * z)  # FD step well inside one state-grid cell
+
+        def x_stencil(p):
+            # reduced at (x, y), (x + h, y) and (x - h, y) in one call.
+            g1_s, g2_s = interp.reduced(np.array([p[0], p[0] + h, p[0] - h]), p[1])
+            return np.array([g1_s, g2_s])
+
+        at = x_stencil(pt)
         for _ in range(60):
-            f0 = np.array(interp.reduced(pt[0], pt[1]))
+            f0 = at[:, 0]
             jac = np.empty((2, 2))
-            for col, dv in enumerate(((h, 0.0), (0.0, h))):
-                fp = np.array(interp.reduced(pt[0] + dv[0], pt[1] + dv[1]))
-                fm = np.array(interp.reduced(pt[0] - dv[0], pt[1] - dv[1]))
-                jac[:, col] = (fp - fm) / (2.0 * h)
+            jac[:, 0] = (at[:, 1] - at[:, 2]) / (2.0 * h)
+            fp = np.array(interp.reduced(pt[0], pt[1] + h))
+            fm = np.array(interp.reduced(pt[0], pt[1] - h))
+            jac[:, 1] = (fp - fm) / (2.0 * h)
             try:
                 step = np.linalg.solve(jac, -f0)
             except np.linalg.LinAlgError:
@@ -415,7 +415,9 @@ def find_fixed_points(params: GameParams, grid_resolution: int = 40) -> list[Fix
             if not (0.0 < nxt[0] < 1.0 and 2.0 / z < nxt[1] < 1.0):
                 return None
             pt = nxt
-            if float(np.max(np.abs(np.array(interp.field(pt[0], pt[1]))))) < 1e-10:
+            at = x_stencil(pt)
+            # The field at pt, (x (1 - x) g1, y (1 - y) g2), from the next stencil's centre.
+            if float(np.max(np.abs(pt * (1.0 - pt) * at[:, 0]))) < 1e-10:
                 break
         return pt
 

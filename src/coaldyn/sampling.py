@@ -13,7 +13,9 @@ size i_m at a time.  The working-group size depends only on i_m, so all
 compositions of one level share one hypergeometric matrix H[s, k] (k
 cooperators among the N - 1 co-members drawn from the i_m - 1 others, s
 of whom cooperate), and the level's three fitnesses are products of H
-with the payoff grid.  Only one level's H exists at a time.  PMF entries
+with the payoff grid.  Each level's H is built once and only one exists
+at a time: when the flow field asks for the mean marginal return and
+mean benefit, the same H gives them by a second product.  PMF entries
 are formed from log-factorials so they stay finite and accurate for pools
 of hundreds of players.  `fitness_table` memoises the table of the latest
 parameter set and fills it one level at a time, as levels are first read;
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .game import GameParams, PopulationState, effective_shares, group_size
 
@@ -75,24 +78,27 @@ def _log_factorials(size: int) -> np.ndarray:
 def _hypergeom_rows(pool: int, draws: int, successes: np.ndarray) -> np.ndarray:
     """H[j, k] = P(k successes among `draws` from `pool` holding successes[j]).
 
-    Log-probabilities are formed over the whole (successes, k) grid and set
-    to -inf off each row's support before exponentiating, so impossible
-    counts come out as exact zeros.
+    Log-probabilities are formed over the whole (successes, k) grid.  The
+    two factorials that can leave the support, (s - k)! and
+    (pool - s - draws + k)!, depend on (s, k) only through d = s - k.  Row
+    pool - s of a sliding window over a 1-D table in d holds them for k =
+    0..draws, with +inf off the support, so impossible counts come out as
+    exact zeros.  The grid is updated in place.
     """
     log_fact = _log_factorials(1 << (pool + 1).bit_length())  # log_fact[j] = log j!
-    s = np.asarray(successes)[:, None]
+    s = np.asarray(successes)
     k = np.arange(draws + 1)
-    log_p = (
-        log_fact[s]
-        - log_fact[k]
-        - log_fact[np.maximum(s - k, 0)]
-        + log_fact[pool - s]
-        - log_fact[draws - k]
-        - log_fact[np.maximum(pool - s - draws + k, 0)]
-        - (log_fact[pool] - log_fact[draws] - log_fact[pool - draws])
-    )
-    support = (k <= s) & (k >= draws - (pool - s))
-    return np.exp(np.where(support, log_p, -np.inf))
+    off = np.full(draws, np.inf)
+    row = pool - s
+    lost = sliding_window_view(np.concatenate((log_fact[pool::-1], off)), draws + 1)[row]
+    left = sliding_window_view(np.concatenate((off, log_fact[: pool + 1])), draws + 1)[row]
+    log_p = log_fact[s][:, None] - log_fact[k]
+    log_p -= lost
+    log_p += log_fact[row][:, None]
+    log_p -= log_fact[draws - k]
+    log_p -= left
+    log_p -= log_fact[pool] - log_fact[draws] - log_fact[pool - draws]
+    return np.exp(log_p, out=log_p)
 
 
 def pmf_row(pool: int, draws: int, successes: int) -> np.ndarray:
@@ -149,14 +155,15 @@ def _level_draws(i_m: int, n: int) -> np.ndarray:
     return _hypergeom_rows(i_m - 1, n - 1, np.arange(i_m))
 
 
-def _level_fitness(params: GameParams, i_m: int, n: int) -> np.ndarray:
+def _level_fitness(payoffs, draws: np.ndarray, i_m: int) -> np.ndarray:
     """(f_c, f_d, f_o) at i_c = 0..i_m for a coalition of i_m >= 2, as a (3, i_m + 1) array.
 
+    `payoffs` is the level's `_payoff_grid` and `draws` its `_level_draws`.
     f_c without a cooperator and f_d without a defector read 0; f_o is the
     outsider formula whether or not an outsider exists.
     """
-    pi_c, pi_d, pi_o, _ = _payoff_grid(params, n)
-    g = _level_draws(i_m, n) @ np.column_stack((pi_c, pi_d, pi_o[1:], pi_o[:-1]))
+    pi_c, pi_d, pi_o, _ = payoffs
+    g = draws @ np.column_stack((pi_c, pi_d, pi_o[1:], pi_o[:-1]))
     x = np.arange(i_m + 1) / i_m
     out = np.zeros((3, i_m + 1))
     out[0, 1:] = g[:, 0]
@@ -166,6 +173,19 @@ def _level_fitness(params: GameParams, i_m: int, n: int) -> np.ndarray:
     out[2, 1:] += x[1:] * g[:, 2]
     out[2, :-1] += (1.0 - x[:-1]) * g[:, 3]
     return out
+
+
+def _level_means(produced: np.ndarray, draws: np.ndarray, i_m: int, c: float):
+    """(mean_R, mean_b) at i_c = 1..i_m - 1 from the level's benefit grid and draws.
+
+    Row s of g averages over the draw with s cooperating co-members; state
+    i_c reads row i_c - 1 (focal cooperator) and row i_c (focal defector).
+    """
+    r_vals = (produced[1:] - produced[:-1]) / c
+    b_vals = produced / c
+    g = draws @ np.column_stack((r_vals, b_vals[1:], b_vals[:-1]))
+    x = np.arange(1, i_m) / i_m
+    return 0.5 * (g[1:, 0] + g[:-1, 0]), x * g[:-1, 1] + (1.0 - x) * g[1:, 2]
 
 
 class FitnessTable:
@@ -180,7 +200,10 @@ class FitnessTable:
     [.., i_c - 1] at i_c = 0, which wraps to the last column.
 
     A coalition size is computed the first time it is read, so a consumer
-    of one slice pays for that level alone; `grid` builds the rest.
+    of a few levels pays for those alone; `span` builds a range of them
+    and `grid` builds the rest.  The mean marginal return and mean benefit
+    of the flow field are computed only when `means` asks for them; each
+    level's hypergeometric draw then serves its fitness and its means.
     """
 
     def __init__(self, params: GameParams):
@@ -191,23 +214,59 @@ class FitnessTable:
         self._read_only.setflags(write=False)
         self._built = [True, True] + [False] * (z - 1)
         self._f_o_full = None
+        self._means = None
+
+    def _store(self, i_m: int, raw: np.ndarray) -> None:
+        """Write a level's `_level_fitness` into the table under the zero conventions."""
+        if i_m == self.params.z:
+            self._f_o_full = raw[2].copy()
+            raw[2] = 0.0
+        self._f[:, i_m, : i_m + 1] = raw
+        self._built[i_m] = True
 
     def level(self, i_m: int) -> np.ndarray:
         """(f_c, f_d, f_o) at i_c = 0..i_m as a read-only (3, i_m + 1) view."""
         if not self._built[i_m]:
-            raw = _level_fitness(self.params, i_m, group_size(self.params, i_m))
-            if i_m == self.params.z:
-                self._f_o_full = raw[2].copy()
-                raw[2] = 0.0
-            self._f[:, i_m, : i_m + 1] = raw
-            self._built[i_m] = True
+            n = group_size(self.params, i_m)
+            self._store(i_m, _level_fitness(_payoff_grid(self.params, n), _level_draws(i_m, n), i_m))
         return self._read_only[:, i_m, : i_m + 1]
+
+    def span(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(f_c, f_d, f_o) as read-only (z+2, z+2) arrays with levels lo..hi built.
+
+        The bounds are clipped to the grid; rows outside them read 0 until
+        some reader builds them.
+        """
+        for i_m in range(max(lo, 2), min(hi, self.params.z) + 1):
+            self.level(i_m)
+        return self._read_only[0], self._read_only[1], self._read_only[2]
 
     def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(f_c, f_d, f_o) over the whole grid as read-only (z+2, z+2) arrays."""
-        for i_m in range(2, self.params.z + 1):
-            self.level(i_m)
-        return self._read_only[0], self._read_only[1], self._read_only[2]
+        return self.span(2, self.params.z)
+
+    def means(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (mean_R, mean_b) at the states with both member kinds present.
+
+        States run over i_m = 2..z and, within one, i_c = 1..i_m - 1.  A level
+        not built yet takes its fitness from the same draw.
+        """
+        if self._means is None:
+            params, z = self.params, self.params.z
+            mean_r, mean_b = np.empty(z * (z - 1) // 2), np.empty(z * (z - 1) // 2)
+            start = 0
+            for i_m in range(2, z + 1):
+                n = group_size(params, i_m)
+                payoffs, draws = _payoff_grid(params, n), _level_draws(i_m, n)
+                if not self._built[i_m]:
+                    self._store(i_m, _level_fitness(payoffs, draws, i_m))
+                level = slice(start, start + i_m - 1)
+                start += i_m - 1
+                mean_r[level], mean_b[level] = _level_means(payoffs[3], draws, i_m, params.c)
+            mean_r.setflags(write=False)
+            mean_b.setflags(write=False)
+            self._means = mean_r, mean_b
+        return self._means
 
     @property
     def f_o_full(self) -> np.ndarray:

@@ -12,7 +12,9 @@ from coaldyn import ConfigError, PopulationState, classify_state, informed_field
 from coaldyn.cli import main
 from coaldyn.config import ExperimentConfig, load_config
 from coaldyn.game import group_size
-from coaldyn.experiments import _json_safe, _state_prefix, run_experiment, write_csv
+from coaldyn.experiments import _json_safe, _matched_members, _state_prefix, run_experiment, write_csv
+from coaldyn.replicator import information_cost, replicator_field
+from coaldyn.sampling import FitnessTable, fitness_table
 from coaldyn.markov import StateIndex, build_chain, monte_carlo, selection_gradient, stationary
 from coaldyn.svg import _dot_prefixes, _f, _point, simplex_svg
 
@@ -326,6 +328,67 @@ def test_s1_compare_outputs(tmp_path):
     for line in lines[1:]:
         *_, uninformed, informed, k = (float(v) for v in line.split(",")[-3:])
         assert informed == pytest.approx(uninformed + k, abs=1e-12)
+
+
+@pytest.mark.parametrize("target", [2, 12, 30])
+def test_s1_compare_equals_pointwise_functions(tmp_path, target):
+    """Every s1-compare row and max_gap against the pointwise functions.
+
+    Group size 2 lands on the two-member coalition and 30 on the whole
+    population at z = 30, where k is NaN.
+    """
+    base = (BASE.replace("z = 12", "z = 30").replace("g_m_seats = 2", "g_m = 0.1")
+            .replace("values = 1, 2", "values = 1, 2, 4, 8"))
+    cfg = run_cfg(tmp_path, "s1-compare", extra=f"\nz_pair = 30 50\ngroup_size = {target}",
+                  base=base)
+    run_experiment(cfg)
+    rows, gaps, slices = [], [], set()
+    for z in cfg.z_pair:
+        max_gaps = []
+        for alpha in cfg.values:
+            p = dataclasses.replace(cfg.params, z=z, alpha=alpha)
+            i_m = _matched_members(p, target)
+            slices.add(i_m if i_m in (2, z) else "inside")
+            gap = 0.0
+            for i_c in range(1, i_m):
+                state = PopulationState(i_c=i_c, i_d=i_m - i_c, z=z)
+                uninformed = replicator_field(p, state)[0]
+                informed = informed_field(p, state).x_dot
+                x = i_c / i_m
+                k_full = information_cost(p, state).k_full
+                k = math.nan if k_full is None else x * (1.0 - x) * p.c * k_full
+                gap = max(gap, abs(uninformed - informed))
+                rows.append(",".join(map(str, (z, alpha, i_m, group_size(p, i_m), i_c, x,
+                                               uninformed, informed, k))))
+            max_gaps.append(gap)
+        gaps.append(max_gaps)
+    assert slices == {2: {2}, 12: {"inside"}, 30: {30, "inside"}}[target]
+    out = tmp_path / "out"
+    assert (out / "s1_compare.csv").read_text().splitlines()[1:] == rows
+    summary = json.loads((out / "s1_summary.json").read_text())
+    assert [pop["max_gap"] for pop in summary["populations"]] == gaps
+
+
+def test_s1_compare_builds_only_the_levels_next_to_its_slice(tmp_path, monkeypatch):
+    built = []
+    real = FitnessTable._store
+
+    def spy(self, i_m, raw):
+        built.append((self.params.z, self.params.alpha, i_m))
+        return real(self, i_m, raw)
+
+    monkeypatch.setattr(FitnessTable, "_store", spy)
+    fitness_table.cache_clear()
+    text = (Path(__file__).parents[1] / "scripts" / "configs" / "size_pair.cfg").read_text()
+    cfg = load_config(write_cfg(tmp_path, text), out_dir=tmp_path / "out")
+    assert 100 in cfg.z_pair
+    run_experiment(cfg)
+    for z in cfg.z_pair:
+        for alpha in cfg.values:
+            i_m = _matched_members(dataclasses.replace(cfg.params, z=z, alpha=alpha),
+                                   cfg.group_size)
+            levels = {m for zz, a, m in built if (zz, a) == (z, alpha)}
+            assert levels and levels <= {i_m - 1, i_m, i_m + 1}, (z, alpha, levels)
 
 
 def test_informed_map_matches_pointwise_functions(tmp_path):

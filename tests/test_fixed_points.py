@@ -108,3 +108,18 @@ def test_row_scan_equals_pointwise_calls():
         g1, g2 = interp.reduced(xs, y)
         want = np.array([interp.reduced(x, y) for x in xs.tolist()])
         assert np.array_equal(g1, want[:, 0]) and np.array_equal(g2, want[:, 1])
+
+
+def test_reduced_on_an_x_array_matches_scalar_calls_bitwise():
+    """The Newton polish reads its x-stencil from one array call; it must
+    equal the per-point calls bit for bit."""
+    z = 60
+    xs = np.concatenate((np.linspace(1e-3, 1.0 - 1e-3, 41),
+                         [0.0, 1.0, 0.5 + 1.0 / (4 * z), 0.5 - 1.0 / (4 * z), 1.0 / 3.0]))
+    for alpha in (1.0, 2.0, 4.0, 8.0):
+        interp = _InterpolatedField(params(z=z, alpha=alpha))
+        for y in (2.0 / z + 1e-9, 0.1, 0.37, 0.5, 0.83, 1.0 - 1e-3, 1.0):
+            g1, g2 = interp.reduced(xs, y)
+            scalar = [interp.reduced(float(x), y) for x in xs]
+            assert g1.tobytes() == np.array([s[0] for s in scalar]).tobytes(), (alpha, y)
+            assert g2.tobytes() == np.array([s[1] for s in scalar]).tobytes(), (alpha, y)

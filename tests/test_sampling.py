@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coaldyn import BenefitFunction, GameParams, PopulationState
+from coaldyn import BenefitFunction, GameParams, PopulationState, sampling
+from coaldyn.markov import build_chain, monte_carlo
+from coaldyn.replicator import flow_field
 from coaldyn.sampling import (
     FitnessTriple,
     _hypergeom_rows,
     _level_draws,
     _level_fitness,
+    _payoff_grid,
     fitness,
     fitness_at,
     fitness_table,
@@ -164,7 +167,7 @@ def test_fitness_enumeration_with_override():
     p = small_params()
     assert group_size(p, 8) != 4
     want = fitness_by_enumeration(p, 3, 5, n=4)
-    got = _level_fitness(p, 8, 4)[:, 3]
+    got = _level_fitness(_payoff_grid(p, 4), _level_draws(8, 4), 8)[:, 3]
     assert got[0] == pytest.approx(want[0], abs=1e-10)
     assert got[1] == pytest.approx(want[1], abs=1e-10)
     assert got[2] == pytest.approx(want[2], abs=1e-10)
@@ -308,3 +311,34 @@ def test_fitness_memo_stays_bounded():
     info = fitness_table.cache_info()
     assert info.misses == 20
     assert info.currsize == info.maxsize == 1
+
+
+def test_flow_field_draws_each_level_once(monkeypatch):
+    """The flow field's means and the fitness they sit beside share one draw per level."""
+    calls = []
+    real = sampling._level_draws
+
+    def counted(i_m, n):
+        calls.append(i_m)
+        return real(i_m, n)
+
+    monkeypatch.setattr(sampling, "_level_draws", counted)
+    fitness_table.cache_clear()
+    p = GameParams(z=40, g_m=0.05, alpha=4.0, benefit=SIGMOID)
+    field = flow_field(p)
+    assert sorted(calls) == list(range(2, 41))
+    assert field.mean_r is fitness_table(p).means()[0]
+
+
+def test_chain_and_monte_carlo_never_compute_the_means(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("mean columns computed")
+
+    monkeypatch.setattr(sampling, "_level_means", refuse)
+    for alpha, run in ((2.5, lambda p: build_chain(p)),
+                       (3.5, lambda p: monte_carlo(p, steps=500, seed=1))):
+        fitness_table.cache_clear()
+        p = small_params(alpha=alpha)
+        run(p)
+        table = fitness_table(p)
+        assert all(table._built) and table._means is None
