@@ -9,10 +9,12 @@ writes each cell as its ``str()``, the shortest round-trip form for a
 float and ``nan`` for NaN.  The i_C, i_D, x and y cells of a state are
 the same text in every per-state CSV, so `_state_prefix` formats them
 once per population size and rows lead with that one string; likewise
-`informed-map` formats each (N, k) gain cell once.  Each run
-finishes by writing ``manifest.json``
-with the resolved configuration, package version, and a checksum per
-output file.
+`informed-map` formats each (N, k) gain cell once.  `sweep-alpha`
+builds, solves and writes each panel in a worker process, up to
+min(panels, usable CPUs) of them at once, and collects the panels in alpha
+order, so no output depends on the worker count.  Each run finishes by
+writing ``manifest.json`` with the resolved configuration, package version,
+and a checksum per output file.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -37,7 +40,8 @@ from .game import GameParams, PopulationState, effective_shares, group_size
 from .informed import gains_on_grid, informed_field_grid
 # Not called here, but perfbench/tracing.py wraps these names on this module.
 from .informed import classify_state, informed_field, marginal_gains  # noqa: F401
-from .markov import StateIndex, _summarize, build_chain, monte_carlo, selection_gradient, stationary
+from .markov import (StateIndex, _check_capacity, _summarize, build_chain, monte_carlo,
+                     selection_gradient, stationary)
 from .replicator import find_fixed_points, flow_field, information_cost, mean_return, replicator_field_grid
 from .replicator import replicator_field  # noqa: F401
 from .svg import simplex_svg
@@ -259,14 +263,29 @@ def _run_stationary(cfg: ExperimentConfig) -> list[Path]:
 
 
 def _run_sweep_alpha(cfg: ExperimentConfig) -> list[Path]:
-    written: list[Path] = []
-    panels = []
-    for alpha in cfg.values:
-        params = dataclasses.replace(cfg.params, alpha=alpha)
-        paths, summary = _stationary_outputs(cfg, params, f"_alpha{_alpha_tag(alpha)}",
-                                             with_gradient=True)
-        written.extend(paths)
-        panels.append(summary)
+    """One panel per alpha in a pool of min(panels, usable CPUs) worker processes.
+
+    Forked workers inherit the imported package and the state text, formatted
+    here once for every panel; spawned ones would import and format both again.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    _check_capacity(cfg.params.z)  # an oversized sweep fails before its state text is formatted
+    _state_prefix(cfg.params.z)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    start = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    pool = ProcessPoolExecutor(min(len(cfg.values), cpus), mp_context=multiprocessing.get_context(start))
+    try:
+        results = list(pool.map(
+            _stationary_outputs, repeat(cfg),
+            [dataclasses.replace(cfg.params, alpha=alpha) for alpha in cfg.values],
+            [f"_alpha{_alpha_tag(alpha)}" for alpha in cfg.values], repeat(True)))
+    finally:
+        # After a failed panel, panels not yet started are dropped, not run.
+        pool.shutdown(cancel_futures=True)
+    written = [path for paths, _ in results for path in paths]
+    panels = [summary for _, summary in results]
     if "json" in cfg.formats:
         payload = {
             "alpha": [p["alpha"] for p in panels],
@@ -357,9 +376,8 @@ def _run_k_profile(cfg: ExperimentConfig) -> list[Path]:
             state = PopulationState(i_c=i_c, i_d=i_m - i_c, z=z)
             cost = information_cost(p, state)
             r_term = mean_return(p, state) * (shares.eps1 + shares.eps2)
-            k_dropped = math.nan if cost.k_dropped is None else cost.k_dropped
             rows.append((alpha, i_c, i_m, n, i_c / i_m, i_m / z,
-                         cost.k_exact, k_dropped, r_term))
+                         cost.k_exact, cost.k_dropped, r_term))
             k_line.append(cost.k_exact)
         summary["alpha"].append(alpha)
         summary["max_abs_k_exact"].append(max(abs(k) for k in k_line))

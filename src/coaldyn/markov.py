@@ -139,6 +139,16 @@ def literal_row_sum_max(z: int, mu: float) -> float:
                3.0 * mu + scale * (a * b + a * c + b * c))
 
 
+MAX_STATES = 2_000_000  # default state budget of `build_chain` and `monte_carlo`
+
+
+def _check_capacity(z: int, max_states: int = MAX_STATES) -> None:
+    """Raise CapacityError, before anything is allocated, if population z has over max_states states."""
+    n = (z + 1) * (z + 2) // 2
+    if n > max_states:
+        raise CapacityError(f"population size {z} needs {n} states, over the budget of {max_states}")
+
+
 def _self_loop(move_probs: np.ndarray) -> np.ndarray:
     """Probability of staying put: whatever mass the six moves leave."""
     return np.maximum(1.0 - move_probs.sum(axis=1), 0.0)
@@ -199,7 +209,7 @@ class MarkovModel:
 
 
 def build_chain(params: GameParams, *, mutation_form: str = "scaled",
-                max_states: int = 2_000_000) -> MarkovModel:
+                max_states: int = MAX_STATES) -> MarkovModel:
     """Assemble the composition chain under the chosen mutation form.
 
     Each state has at most six neighbor moves (ordered strategy pairs) plus a
@@ -211,12 +221,9 @@ def build_chain(params: GameParams, *, mutation_form: str = "scaled",
     if mutation_form not in ("scaled", "literal"):
         raise ValueError(f"unknown mutation_form: {mutation_form!r}")
     z = params.z
+    _check_capacity(z, max_states)
     index = StateIndex.for_population(z)
     n = index.n_states
-    if n > max_states:
-        raise CapacityError(
-            f"population size {z} needs {n} states, over the budget of {max_states}"
-        )
     if mutation_form == "literal" and literal_row_sum_max(z, params.mu) > 1.0 + 1e-12:
         raise ValueError(
             "literal mutation form overflows row sums at this mu; "
@@ -610,7 +617,7 @@ class MonteCarloResult:
 def monte_carlo(params: GameParams, steps: int, seed: int, *, burn_in: int = 0,
                 initial: tuple[int, int] | None = None, trajectory_samples: int = 512,
                 block_size: int = 1 << 14,
-                max_states: int = 2_000_000) -> MonteCarloResult:
+                max_states: int = MAX_STATES) -> MonteCarloResult:
     """Individual-based simulation of the update process (scaled form).
 
     Pre-draws uniforms in blocks of ``block_size`` steps, four per step, and
@@ -628,11 +635,8 @@ def monte_carlo(params: GameParams, steps: int, seed: int, *, burn_in: int = 0,
     if trajectory_samples < 0:
         raise ValueError("trajectory_samples must be >= 0")
     z = params.z
+    _check_capacity(z, max_states)
     index = StateIndex.for_population(z)
-    if index.n_states > max_states:
-        raise CapacityError(
-            f"population size {z} needs {index.n_states} states, over the budget of {max_states}"
-        )
     if initial is None:
         # Deterministic centered start: equal thirds, remainder to outsiders.
         i_c = i_d = z // 3

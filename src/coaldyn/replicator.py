@@ -24,6 +24,7 @@ interpolated off the integer state grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,22 +129,21 @@ class InformationCost:
     entry_d     defector-fitness change when the joiner defects versus
                 cooperates
 
-    A field is None when its shifted composition leaves the state
-    space, and the corresponding K value is None as well (boundary).
+    A field is NaN when its shifted composition leaves the state
+    space, and the corresponding K value is NaN as well (boundary), as
+    in `flow_field`.
     """
 
-    k_exact: float | None
-    k_dropped: float | None
-    swap_c: float | None
-    outsider: float | None
-    entry_c: float | None
-    entry_d: float | None
+    k_exact: float
+    k_dropped: float
+    swap_c: float
+    outsider: float
+    entry_c: float
+    entry_d: float
 
     @property
-    def k_full(self) -> float | None:
-        """Total informed-vs-uninformed gap, k_exact + k_dropped."""
-        if self.k_exact is None or self.k_dropped is None:
-            return None
+    def k_full(self) -> float:
+        """Total informed-vs-uninformed gap, k_exact + k_dropped; NaN where either is."""
         return self.k_exact + self.k_dropped
 
 
@@ -161,8 +161,8 @@ def information_cost(params: GameParams, state: PopulationState) -> InformationC
     c = params.c
     y = state.y
 
-    swap = outsider = entry_c = entry_d = None
-    k_exact = k_dropped = None
+    swap = outsider = entry_c = entry_d = math.nan
+    k_exact = k_dropped = math.nan
     if i_c >= 1 and i_d >= 1:
         here = fitness_at(params, i_c, i_d)
         swap = (
@@ -228,7 +228,7 @@ def replicator_field_grid(params: GameParams, i_m: np.ndarray, i_c: np.ndarray):
     read of the fitness table, which builds only the levels from
     min(i_m) - 1 to max(i_m) + 1, with the arithmetic of the pointwise
     functions (`replicator_field`, `information_cost`), so the two agree
-    exactly.  K_dropped is NaN where `information_cost` gives None.
+    exactly, NaN where undefined included.
     """
     z, c = params.z, params.c
     f_c, f_d, f_o = fitness_table(params).span(int(i_m.min()) - 1, int(i_m.max()) + 1)

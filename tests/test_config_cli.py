@@ -3,12 +3,19 @@
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coaldyn import ConfigError, PopulationState, classify_state, informed_field, marginal_gains
+import coaldyn
+from coaldyn import (ConfigError, NonConvergenceError, PopulationState, classify_state,
+                     informed_field, marginal_gains)
 from coaldyn.cli import main
 from coaldyn.config import ExperimentConfig, load_config
 from coaldyn.game import group_size
@@ -356,7 +363,7 @@ def test_s1_compare_equals_pointwise_functions(tmp_path, target):
                 informed = informed_field(p, state).x_dot
                 x = i_c / i_m
                 k_full = information_cost(p, state).k_full
-                k = math.nan if k_full is None else x * (1.0 - x) * p.c * k_full
+                k = x * (1.0 - x) * p.c * k_full  # NaN where k_full is
                 gap = max(gap, abs(uninformed - informed))
                 rows.append(",".join(map(str, (z, alpha, i_m, group_size(p, i_m), i_c, x,
                                                uninformed, informed, k))))
@@ -499,6 +506,50 @@ def test_reruns_are_byte_identical(tmp_path):
     assert man_a.outputs == man_b.outputs  # sha256 per file
     for name in man_a.outputs:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity masks")
+def test_sweep_outputs_do_not_depend_on_the_worker_count(tmp_path):
+    """A sweep held to one CPU, so to one worker process, writes the bytes of one on every CPU."""
+    text = BASE.replace("name = stationary", "name = sweep-alpha").replace(
+        "values = 1, 2", "values = 1, 2, 4").replace("formats = csv, json", "formats = csv, json, svg")
+    path = write_cfg(tmp_path, text)
+    code = """
+import multiprocessing, os, sys
+from coaldyn.config import load_config
+from coaldyn.experiments import run_experiment
+if sys.argv[3] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+run_experiment(load_config(sys.argv[1], out_dir=sys.argv[2]))
+assert not multiprocessing.active_children()
+"""
+    src = str(Path(coaldyn.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for cpus in ("one", "all"):
+        subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / cpus), cpus],
+                       env=env, check=True, timeout=120)
+    one, every = (json.loads((tmp_path / cpus / "manifest.json").read_text())["outputs"]
+                  for cpus in ("one", "all"))
+    assert one == every and len(one) == 3 * 3 + 1  # three files a panel, then sweep_summary.json
+    for name in one:
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
+
+@pytest.mark.parametrize("change, code, category", [
+    (("mu = 0.05", "mu = 5e-324"), 2, "config"),  # ReducibleChainError, raised in a worker
+    (("z = 12", "z = 2000"), 3, "capacity"),  # CapacityError, raised before the pool starts
+])
+def test_cli_sweep_errors_keep_their_exit_codes(tmp_path, capsys, change, code, category):
+    text = BASE.replace("name = stationary", "name = sweep-alpha").replace(*change)
+    assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err.startswith(f"error: {category}:")
+    assert not multiprocessing.active_children()
+
+
+def test_nonconvergence_error_survives_pickling():
+    """A worker's errors reach the parent pickled, and the CLI reads them there."""
+    err = pickle.loads(pickle.dumps(NonConvergenceError("cap hit", residual=2.5e-7, iterations=40)))
+    assert (str(err), err.residual, err.iterations) == ("cap hit", 2.5e-7, 40)
 
 
 # --- command line -------------------------------------------------------------

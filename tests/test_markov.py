@@ -193,11 +193,13 @@ def test_residual_matches_the_sparse_product(form, mu):
 
 def test_default_path_never_imports_scipy():
     """Building, solving, the gradient, the simulator and the flow field run on
-    numpy alone; the sparse matrix and the LU oracle still load scipy on demand."""
+    numpy alone; the sparse matrix and the LU oracle still load scipy on demand.
+    The sweep's process pool is imported when a sweep runs, not with the package."""
     code = """
 import sys
 import numpy as np
 import coaldyn.experiments
+assert not [m for m in sys.modules if m.partition(".")[0] in ("multiprocessing", "concurrent")]
 from coaldyn import BenefitFunction, GameParams, build_chain, flow_field, monte_carlo, selection_gradient, stationary
 p = GameParams(z=20, g_m=0.1, mu=0.01, beta=0.1, alpha=4.0, benefit=BenefitFunction.sigmoid())
 model = build_chain(p)
