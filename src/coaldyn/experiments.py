@@ -36,14 +36,16 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .errors import ConfigError
-from .game import GameParams, PopulationState, effective_shares, group_size
+from .game import GameParams, effective_shares, group_size
 from .informed import gains_on_grid, informed_field_grid
-# Not called here, but perfbench/tracing.py wraps these names on this module.
+# Not called here, but perfbench/tracing.py wraps these six names on this module:
+# replicator_field, information_cost, mean_return, informed_field, marginal_gains, classify_state.
 from .informed import classify_state, informed_field, marginal_gains  # noqa: F401
 from .markov import (StateIndex, _check_capacity, _summarize, build_chain, monte_carlo,
                      selection_gradient, stationary)
-from .replicator import find_fixed_points, flow_field, information_cost, mean_return, replicator_field_grid
-from .replicator import replicator_field  # noqa: F401
+from .replicator import find_fixed_points, flow_field, replicator_field_grid
+from .replicator import information_cost, mean_return, replicator_field  # noqa: F401
+from .sampling import _means_at
 from .svg import simplex_svg
 
 
@@ -328,7 +330,7 @@ def _run_informed_map(cfg: ExperimentConfig) -> list[Path]:
     coalition = i_m >= 2
     i_m, i_c = i_m[coalition], i_c[coalition]
     x = i_c / i_m
-    x_dot, y_dot = informed_field_grid(params, i_m, i_c)
+    x_dot, y_dot = informed_field_grid(params, i_m, i_c)[:2]
     cells = {}  # group size N -> `_gain_cells(params, N)`
     cell_text, labels = [], []
     start = 0
@@ -361,27 +363,30 @@ def _run_informed_map(cfg: ExperimentConfig) -> list[Path]:
 
 
 def _run_k_profile(cfg: ExperimentConfig) -> list[Path]:
+    """K_exact, K_dropped and <R>(eps1 + eps2) along the slice i_c = 1..i_m - 1 at y_slice.
+
+    Each alpha reads its slice in one `replicator_field_grid` call and one
+    draw of the level for mean_R.
+    """
     params = cfg.params
     z = params.z
     i_m = max(2, int(math.floor(cfg.y_slice * z + 0.5)))
     i_m = min(i_m, z)
+    i_c = np.arange(1, i_m)
+    level = np.full(i_m - 1, i_m)
     rows = []
     summary = {"alpha": [], "max_abs_k_exact": [], "k_exact_mid": []}
     for alpha in cfg.values:
         p = dataclasses.replace(params, alpha=alpha)
         n = group_size(p, i_m)
         shares = effective_shares(p, n)
-        k_line = []
-        for i_c in range(1, i_m):
-            state = PopulationState(i_c=i_c, i_d=i_m - i_c, z=z)
-            cost = information_cost(p, state)
-            r_term = mean_return(p, state) * (shares.eps1 + shares.eps2)
-            rows.append((alpha, i_c, i_m, n, i_c / i_m, i_m / z,
-                         cost.k_exact, cost.k_dropped, r_term))
-            k_line.append(cost.k_exact)
+        x, y, _, _, k_exact, k_dropped = replicator_field_grid(p, level, i_c)[:6]
+        r_term = _means_at(p, i_m, 1, i_m - 1)[0] * (shares.eps1 + shares.eps2)
+        rows.extend(zip(repeat(alpha), i_c.tolist(), repeat(i_m), repeat(n), x.tolist(), y.tolist(),
+                        k_exact.tolist(), k_dropped.tolist(), r_term.tolist()))
         summary["alpha"].append(alpha)
-        summary["max_abs_k_exact"].append(max(abs(k) for k in k_line))
-        summary["k_exact_mid"].append(k_line[len(k_line) // 2])
+        summary["max_abs_k_exact"].append(float(np.max(np.abs(k_exact))))
+        summary["k_exact_mid"].append(k_exact[len(k_exact) // 2].item())
     written: list[Path] = []
     if "csv" in cfg.formats:
         path = cfg.out_dir / "k_profile.csv"
@@ -425,8 +430,8 @@ def _run_s1_compare(cfg: ExperimentConfig) -> list[Path]:
     rather than by subtraction — the two flow columns differ by exactly
     this curve, and the emitted data lets a reader re-check that.  Each
     slice is read by `replicator_field_grid` and `informed_field_grid`,
-    which equal the pointwise functions exactly and build only the
-    fitness levels next to the slice.  max_gap ignores NaN gaps.
+    which build only the fitness levels next to the slice.  max_gap
+    ignores NaN gaps.
     """
     rows = []
     summary: dict = {"group_size": cfg.group_size, "populations": []}
@@ -438,8 +443,8 @@ def _run_s1_compare(cfg: ExperimentConfig) -> list[Path]:
             i_m = _matched_members(p, cfg.group_size)
             i_c = np.arange(1, i_m)
             level = np.full(i_m - 1, i_m)
-            x, _, uninformed, _, k_exact, k_dropped = replicator_field_grid(p, level, i_c)
-            informed, _ = informed_field_grid(p, level, i_c)
+            x, _, uninformed, _, k_exact, k_dropped = replicator_field_grid(p, level, i_c)[:6]
+            informed = informed_field_grid(p, level, i_c)[0]
             # K_dropped, hence k, is NaN on two-member and full coalitions.
             k_flow = x * (1.0 - x) * p.c * (k_exact + k_dropped)
             gap = np.abs(uninformed - informed)

@@ -6,7 +6,9 @@ against the population-averaged fitness.  This module provides the
 per-composition pairwise gains, the region classification they induce
 over (group size, contribution) space, and the informed selection
 field obtained when imitation is driven by anticipated post-switch
-fitness instead of current average fitness.
+fitness instead of current average fitness.  The field has one
+arithmetic, `informed_field_grid`, over arrays of states;
+`informed_field` reads it at one state.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameParams, PopulationState, _check_on_grid, effective_shares
-from .sampling import fitness_at, fitness_table
+from .sampling import fitness_table
 
 __all__ = [
     "MarginalGains",
@@ -162,76 +164,46 @@ def informed_field(params: GameParams, state: PopulationState) -> InformedFlow:
 
     Each of the six directed switches x -> y contributes its gain
     delta_xy at the composition the switch would create, weighted by
-    how often such a pair meets.  Gains whose pair weight is zero are
-    never evaluated, so compositions outside the state space are never
-    touched.
+    how often such a pair meets.  `informed_field_grid` at this one state;
+    gains whose pair weight is zero are left None.
     """
     if state.z != params.z:
         raise ValueError(f"state population {state.z} != params population {params.z}")
-    i_c, i_d, z = state.i_c, state.i_d, state.z
-    i_m = i_c + i_d
-    if i_m == 0:
+    if state.i_m == 0:
         return InformedFlow(x_dot=0.0, y_dot=0.0)
-    x = state.x
-    y = state.y
-    here = fitness_at(params, i_c, i_d)
-
-    d_cd = d_dc = d_co = d_oc = d_do = d_od = None
-    if 0 < x < 1:  # both member kinds present: the C<->D swaps can happen
-        d_dc = fitness_at(params, i_c + 1, i_d - 1).f_c - here.f_d
-        d_cd = fitness_at(params, i_c - 1, i_d + 1).f_d - here.f_c
-    if x > 0:  # a cooperator can leave
-        d_co = fitness_at(params, i_c - 1, i_d).f_o - here.f_c
-    if x < 1:  # a defector can leave
-        d_do = fitness_at(params, i_c, i_d - 1).f_o - here.f_d
-    if y < 1:  # an outsider can join either way
-        d_oc = fitness_at(params, i_c + 1, i_d).f_c - here.f_o
-        d_od = fitness_at(params, i_c, i_d + 1).f_d - here.f_o
-
-    def val(delta):
-        return 0.0 if delta is None else delta
-
-    x_dot = 0.5 * x * (1.0 - x) * (
-        y * (val(d_dc) - val(d_cd))
-        + (1.0 - y) * (val(d_oc) - val(d_co) + val(d_do) - val(d_od))
-    )
-    y_dot = 0.5 * y * (1.0 - y) * (
-        x * (val(d_oc) - val(d_co)) + (1.0 - x) * (val(d_od) - val(d_do))
-    )
-    return InformedFlow(
-        x_dot=x_dot,
-        y_dot=y_dot,
-        delta_cd=d_cd,
-        delta_dc=d_dc,
-        delta_co=d_co,
-        delta_oc=d_oc,
-        delta_do=d_do,
-        delta_od=d_od,
-    )
+    x_dot, y_dot, gains, evaluated = informed_field_grid(params, np.int64(state.i_m),
+                                                         np.int64(state.i_c))
+    return InformedFlow(x_dot.item(), y_dot.item(),
+                        *(d.item() if m.item() else None for d, m in zip(gains, evaluated)))
 
 
 def informed_field_grid(params: GameParams, i_m: np.ndarray, i_c: np.ndarray):
-    """`informed_field`'s (x_dot, y_dot) at the states (i_c, i_m - i_c), i_m >= 1.
+    """(x_dot, y_dot, gains, evaluated) of the informed field at the states (i_c, i_m - i_c).
 
-    Each switch gain is a shifted read of the fitness table, which builds
-    only the levels from min(i_m) - 1 to max(i_m) + 1, and a gain whose
-    pair weight vanishes counts as zero, with the arithmetic of
-    `informed_field`, so the two agree exactly.
+    i_m and i_c are integer arrays, or numpy integers for one state (no
+    array overhead).  Every state needs i_m >= 1; edge states (i_c = 0 or
+    i_m) are allowed.  `gains` holds the switch gains (d_cd, d_dc, d_co, d_oc, d_do, d_od), in
+    `InformedFlow`'s order, and `evaluated` the mask of each: a gain whose
+    pair weight vanishes is not read and counts as 0.  Each gain is a
+    shifted read of the fitness table, which builds only the levels from
+    min(i_m) - 1 to max(i_m) + 1.
     """
     f_c, f_d, f_o = fitness_table(params).span(int(i_m.min()) - 1, int(i_m.max()) + 1)
     x = i_c / i_m
     y = i_m / params.z
     here_c, here_d, here_o = f_c[i_m, i_c], f_d[i_m, i_c], f_o[i_m, i_c]
-    both = (i_c > 0) & (i_c < i_m)
+    has_c, has_d = i_c > 0, i_c < i_m  # a cooperator, a defector is present
+    both = has_c & has_d
     has_room = i_m < params.z
     d_dc = np.where(both, f_c[i_m, i_c + 1] - here_d, 0.0)
     d_cd = np.where(both, f_d[i_m, i_c - 1] - here_c, 0.0)
-    d_co = np.where(i_c > 0, f_o[i_m - 1, i_c - 1] - here_c, 0.0)
-    d_do = np.where(i_c < i_m, f_o[i_m - 1, i_c] - here_d, 0.0)
+    d_co = np.where(has_c, f_o[i_m - 1, i_c - 1] - here_c, 0.0)
+    d_do = np.where(has_d, f_o[i_m - 1, i_c] - here_d, 0.0)
     d_oc = np.where(has_room, f_c[i_m + 1, i_c + 1] - here_o, 0.0)
     d_od = np.where(has_room, f_d[i_m + 1, i_c] - here_o, 0.0)
     x_dot = 0.5 * x * (1.0 - x) * (
         y * (d_dc - d_cd) + (1.0 - y) * (d_oc - d_co + d_do - d_od)
     )
     y_dot = 0.5 * y * (1.0 - y) * (x * (d_oc - d_co) + (1.0 - x) * (d_od - d_do))
-    return x_dot, y_dot
+    return (x_dot, y_dot, (d_cd, d_dc, d_co, d_oc, d_do, d_od),
+            (both, both, has_c, has_room, has_d, has_room))

@@ -553,7 +553,10 @@ def _simulate_steps(u: np.ndarray, i_c: int, i_d: int, z: int, mu: float,
     b = i_c + i_d
     row = fermi[i_c][i_d]
     changes = [0, i_c, i_d]  # flat (step, i_c, i_d) rows; row 0 is the entry state
-    for i, f, r, a in zip(range(n_steps), focal.tolist(), role.tolist(), u[:, 3].tolist()):
+    # Read the acceptance column through a memoryview, one float at a time:
+    # .tolist() would hold a float object per step of the block (384 KB at 2**14
+    # steps), and peak RSS would hinge on whether the allocator finds them free pages.
+    for i, f, r, a in zip(range(n_steps), focal.tolist(), role.tolist(), memoryview(u[:, 3])):
         if f < i_c:
             sf = 0
         elif f < b:

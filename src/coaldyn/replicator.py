@@ -18,6 +18,10 @@ and K_exact collects the fitness shifts induced by a C <-> D swap.  A
 further correction, K_dropped, measures what imitation based on
 anticipated post-switch fitness (the informed field) would add on top.
 
+Each quantity has one arithmetic, `replicator_field_grid`, over arrays
+of states; `flow_field` reads it on the whole interior grid, and the
+pointwise `replicator_field` and `information_cost` read it at one
+state.  mean_R and mean_b come from the fitness table's level draws.
 The module also locates and classifies rest points of the field
 interpolated off the integer state grid.
 """
@@ -29,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameParams, PopulationState, group_size
-from .sampling import _payoff_grid, fitness, fitness_at, fitness_table, pmf_row
+from .game import GameParams, PopulationState
+from .sampling import _means_at, fitness_table
 
 __all__ = [
     "InformationCost",
@@ -47,7 +51,7 @@ __all__ = [
 
 
 def replicator_field(params: GameParams, state: PopulationState) -> tuple[float, float]:
-    """(x_dot, y_dot) at a population state.
+    """(x_dot, y_dot) at a population state: `replicator_field_grid` at that one state.
 
     Boundary factors vanish exactly: states with x in {0, 1} give
     x_dot == 0.0 and y in {0, 1} give y_dot == 0.0, with no residual
@@ -57,21 +61,8 @@ def replicator_field(params: GameParams, state: PopulationState) -> tuple[float,
         raise ValueError(f"state population {state.z} != params population {params.z}")
     if state.i_m == 0:
         return 0.0, 0.0
-    trip = fitness(params, state)
-    x = state.x
-    y = state.y
-    x_dot = x * (1.0 - x) * (trip.f_c - trip.f_d)
-    y_dot = y * (1.0 - y) * (x * trip.f_c + (1.0 - x) * trip.f_d - trip.f_o)
-    return x_dot, y_dot
-
-
-def _member_rows(params: GameParams, i_c: int, i_d: int):
-    """Co-member draws seen by a focal defector (row0) and cooperator (row1)."""
-    i_m = i_c + i_d
-    n = group_size(params, i_m)
-    row0 = pmf_row(i_m - 1, n - 1, i_c) if i_d >= 1 else None
-    row1 = pmf_row(i_m - 1, n - 1, i_c - 1) if i_c >= 1 else None
-    return n, row0, row1
+    x_dot, y_dot = replicator_field_grid(params, np.int64(state.i_m), np.int64(state.i_c))[2:4]
+    return x_dot.item(), y_dot.item()
 
 
 def mean_return(params: GameParams, state: PopulationState) -> float:
@@ -79,15 +70,12 @@ def mean_return(params: GameParams, state: PopulationState) -> float:
 
     Averages R(k c) under the mean of the co-member distributions a
     focal cooperator and a focal defector face; requires both member
-    kinds present (1 <= i_c <= i_m - 1).
+    kinds present (1 <= i_c <= i_m - 1).  The arithmetic of
+    `FitnessTable.means`, over the two draw rows the state reads.
     """
-    i_c, i_d = state.i_c, state.i_d
-    if state.i_m < 2 or i_c < 1 or i_d < 1:
+    if state.i_m < 2 or state.i_c < 1 or state.i_d < 1:
         raise ValueError(f"mean_return needs both member kinds present, got {state}")
-    n, row0, row1 = _member_rows(params, i_c, i_d)
-    produced = _payoff_grid(params, n)[3]
-    r_vals = (produced[1:] - produced[:-1]) / params.c
-    return float((0.5 * (row0 + row1)) @ r_vals)
+    return _means_at(params, state.i_m, state.i_c, state.i_c)[0].item()
 
 
 def mean_benefit(params: GameParams, state: PopulationState) -> float:
@@ -95,19 +83,12 @@ def mean_benefit(params: GameParams, state: PopulationState) -> float:
 
     Conditions on whether the anchoring member cooperates (adding its
     own contribution) and averages b = B/c over the co-member draw.
+    Defined for every composition of a coalition of two or more,
+    i_c = 0 and i_c = i_m included.
     """
-    i_c, i_d = state.i_c, state.i_d
     if state.i_m < 2:
         raise ValueError(f"mean_benefit needs a coalition of two or more, got {state}")
-    n, row0, row1 = _member_rows(params, i_c, i_d)
-    b_vals = _payoff_grid(params, n)[3] / params.c
-    x = state.x
-    out = 0.0
-    if i_c >= 1:
-        out += x * float(row1 @ b_vals[1:])
-    if i_d >= 1:
-        out += (1.0 - x) * float(row0 @ b_vals[:-1])
-    return out
+    return _means_at(params, state.i_m, state.i_c, state.i_c)[1].item()
 
 
 @dataclass(frozen=True)
@@ -148,7 +129,7 @@ class InformationCost:
 
 
 def information_cost(params: GameParams, state: PopulationState) -> InformationCost:
-    """Information-cost decomposition at an integer state.
+    """Information-cost decomposition at an integer state, read off `replicator_field_grid`.
 
     k_exact needs both member kinds present; k_dropped additionally
     needs an outsider to exist and the shrunken coalition to still
@@ -156,44 +137,13 @@ def information_cost(params: GameParams, state: PopulationState) -> InformationC
     """
     if state.z != params.z:
         raise ValueError(f"state population {state.z} != params population {params.z}")
-    i_c, i_d, z = state.i_c, state.i_d, state.z
-    i_m = state.i_m
-    c = params.c
-    y = state.y
-
-    swap = outsider = entry_c = entry_d = math.nan
-    k_exact = k_dropped = math.nan
-    if i_c >= 1 and i_d >= 1:
-        here = fitness_at(params, i_c, i_d)
-        swap = (
-            fitness_at(params, i_c + 1, i_d - 1).f_c
-            - here.f_c
-            + here.f_d
-            - fitness_at(params, i_c - 1, i_d + 1).f_d
-        )
-        k_exact = swap / (2.0 * c)
-        if i_m >= 3 and i_m < z:
-            outsider = (
-                fitness_at(params, i_c, i_d - 1).f_o
-                - fitness_at(params, i_c - 1, i_d).f_o
-            )
-            entry_c = (
-                fitness_at(params, i_c + 1, i_d - 1).f_c
-                - fitness_at(params, i_c + 1, i_d).f_c
-            )
-            entry_d = (
-                fitness_at(params, i_c, i_d + 1).f_d
-                - fitness_at(params, i_c - 1, i_d + 1).f_d
-            )
-            k_dropped = (1.0 - y) * (outsider - entry_c - entry_d) / (2.0 * c)
-    return InformationCost(
-        k_exact=k_exact,
-        k_dropped=k_dropped,
-        swap_c=swap,
-        outsider=outsider,
-        entry_c=entry_c,
-        entry_d=entry_d,
-    )
+    if not 1 <= state.i_c < state.i_m:
+        return InformationCost(*[math.nan] * 6)
+    k_exact, k_dropped, swap, *shifted = (a.item() for a in replicator_field_grid(
+        params, np.int64(state.i_m), np.int64(state.i_c))[4:])
+    if math.isnan(k_dropped):
+        shifted = [math.nan] * 3
+    return InformationCost(k_exact, k_dropped, swap, *shifted)
 
 
 @dataclass
@@ -222,13 +172,16 @@ class FlowField:
 
 
 def replicator_field_grid(params: GameParams, i_m: np.ndarray, i_c: np.ndarray):
-    """(x, y, x_dot, y_dot, K_exact, K_dropped) at the states (i_c, i_m - i_c).
+    """(x, y, x_dot, y_dot, K_exact, K_dropped, swap, outsider, entry_c, entry_d) at (i_c, i_m - i_c).
 
-    Every state needs both member kinds present.  Each column is a shifted
-    read of the fitness table, which builds only the levels from
-    min(i_m) - 1 to max(i_m) + 1, with the arithmetic of the pointwise
-    functions (`replicator_field`, `information_cost`), so the two agree
-    exactly, NaN where undefined included.
+    i_m and i_c are integer arrays, or numpy integers for one state (no
+    array overhead).  Every state needs i_m >= 1; edge states (i_c = 0 or
+    i_m) are allowed.  Each column is a shifted read of the fitness table, which builds only
+    the levels from min(i_m) - 1 to max(i_m) + 1.  x_dot and y_dot hold
+    everywhere.  The K columns and the four `InformationCost` components
+    mean something only where both member kinds are present; K_dropped is
+    NaN where it needs 3 <= i_m < z and the components are not masked.
+    `replicator_field` and `information_cost` read this at one state.
     """
     z, c = params.z, params.c
     f_c, f_d, f_o = fitness_table(params).span(int(i_m.min()) - 1, int(i_m.max()) + 1)
@@ -243,7 +196,7 @@ def replicator_field_grid(params: GameParams, i_m: np.ndarray, i_c: np.ndarray):
     entry_d = f_d[i_m + 1, i_c] - f_d[i_m, i_c - 1]
     k_dropped = np.where((i_m >= 3) & (i_m < z),
                          (1.0 - y) * (outsider - entry_c - entry_d) / (2.0 * c), np.nan)
-    return x, y, x_dot, y_dot, swap / (2.0 * c), k_dropped
+    return x, y, x_dot, y_dot, swap / (2.0 * c), k_dropped, swap, outsider, entry_c, entry_d
 
 
 def flow_field(params: GameParams) -> FlowField:
@@ -258,7 +211,7 @@ def flow_field(params: GameParams) -> FlowField:
     i_m, i_c = np.tril_indices(params.z + 1, -1)
     interior = i_c >= 1
     i_m, i_c = i_m[interior], i_c[interior]
-    x, y, x_dot, y_dot, k_exact, k_dropped = replicator_field_grid(params, i_m, i_c)
+    x, y, x_dot, y_dot, k_exact, k_dropped = replicator_field_grid(params, i_m, i_c)[:6]
     return FlowField(
         params=params,
         i_c=i_c,

@@ -15,7 +15,9 @@ cooperators among the N - 1 co-members drawn from the i_m - 1 others, s
 of whom cooperate), and the level's three fitnesses are products of H
 with the payoff grid.  Each level's H is built once and only one exists
 at a time: when the flow field asks for the mean marginal return and
-mean benefit, the same H gives them by a second product.  PMF entries
+mean benefit, the same H gives them by a second product.  The pointwise
+`mean_return` and `mean_benefit` take that product over the two rows of
+H one state reads, and `k-profile` over one whole level.  PMF entries
 are formed from log-factorials so they stay finite and accurate for pools
 of hundreds of players.  `fitness_table` memoises the table of the latest
 parameter set and fills it one level at a time, as levels are first read;
@@ -175,17 +177,30 @@ def _level_fitness(payoffs, draws: np.ndarray, i_m: int) -> np.ndarray:
     return out
 
 
-def _level_means(produced: np.ndarray, draws: np.ndarray, i_m: int, c: float):
-    """(mean_R, mean_b) at i_c = 1..i_m - 1 from the level's benefit grid and draws.
+def _level_means(produced: np.ndarray, draws: np.ndarray, x: np.ndarray, c: float):
+    """(mean_R, mean_b) at consecutive states of one level, of cooperator shares x.
 
-    Row s of g averages over the draw with s cooperating co-members; state
-    i_c reads row i_c - 1 (focal cooperator) and row i_c (focal defector).
+    `produced` is the level's benefit grid and `draws` one more row than x
+    of its co-member draw: state j reads row j as a focal cooperator and
+    row j + 1 as a focal defector, so the whole draw serves i_c = 1..i_m - 1.
     """
     r_vals = (produced[1:] - produced[:-1]) / c
     b_vals = produced / c
     g = draws @ np.column_stack((r_vals, b_vals[1:], b_vals[:-1]))
-    x = np.arange(1, i_m) / i_m
     return 0.5 * (g[1:, 0] + g[:-1, 0]), x * g[:-1, 1] + (1.0 - x) * g[1:, 2]
+
+
+def _means_at(params: GameParams, i_m: int, lo: int, hi: int):
+    """(mean_R, mean_b) at i_c = lo..hi in a coalition of i_m >= 2, drawing only the rows read.
+
+    An edge state (i_c = 0 or i_m) reads its one member view twice, the
+    missing view weighted by zero, so its mean_b is defined and its mean_R
+    is not.  A whole-coalition draw comes out of the kernel as the identity.
+    """
+    n = group_size(params, i_m)
+    rows = np.clip(np.arange(lo - 1, hi + 1), 0, i_m - 1)
+    return _level_means(_payoff_grid(params, n)[3], _hypergeom_rows(i_m - 1, n - 1, rows),
+                        np.arange(lo, hi + 1) / i_m, params.c)
 
 
 class FitnessTable:
@@ -262,7 +277,8 @@ class FitnessTable:
                     self._store(i_m, _level_fitness(payoffs, draws, i_m))
                 level = slice(start, start + i_m - 1)
                 start += i_m - 1
-                mean_r[level], mean_b[level] = _level_means(payoffs[3], draws, i_m, params.c)
+                mean_r[level], mean_b[level] = _level_means(payoffs[3], draws,
+                                                          np.arange(1, i_m) / i_m, params.c)
             mean_r.setflags(write=False)
             mean_b.setflags(write=False)
             self._means = mean_r, mean_b

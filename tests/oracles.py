@@ -5,9 +5,10 @@ than from the package: exact rational arithmetic where the quantity is
 rational (hypergeometric counts, neutral-drift chains), brute-force
 enumeration where the engine uses a formula (group sampling),
 textbook closed forms for solver validation (birth-death chains,
-repeated squaring), and a step-by-step loop for the Monte Carlo
-kernel.  None of it imports from coaldyn except the parameter
-container, so agreement is evidence and not tautology.
+repeated squaring), a step-by-step loop for the Monte Carlo
+kernel, and the flow quantities one state at a time, from a fitness
+callable the test passes in.  None of it imports from coaldyn except
+the parameter container, so agreement is evidence and not tautology.
 """
 
 from __future__ import annotations
@@ -191,6 +192,106 @@ def fitness_by_pmf_rows(grid, i_c: int, i_d: int):
         float(row_d @ pi_d) if row_d is not None else None,
         f_o,
     )
+
+
+def replicator_field_at(fit, params, i_c: int, i_d: int) -> tuple[float, float]:
+    """(x_dot, y_dot) at (i_c, i_d) from `fit(params, i_c, i_d)`'s (f_c, f_d, f_o).
+
+    x_dot = x (1 - x) (f_C - f_D) and y_dot = y (1 - y) (x f_C + (1 - x) f_D
+    - f_O); the empty coalition maps to (0, 0).
+    """
+    i_m = i_c + i_d
+    if i_m == 0:
+        return 0.0, 0.0
+    here = fit(params, i_c, i_d)
+    x, y = i_c / i_m, i_m / params.z
+    return (x * (1.0 - x) * (here.f_c - here.f_d),
+            y * (1.0 - y) * (x * here.f_c + (1.0 - x) * here.f_d - here.f_o))
+
+
+def information_cost_at(fit, params, i_c: int, i_d: int) -> tuple[float, ...]:
+    """(k_exact, k_dropped, swap, outsider, entry_c, entry_d) at (i_c, i_d), NaN where undefined.
+
+    Each component compares fitness at the compositions a C <-> D swap, a
+    departure or an arrival would create: k_exact needs both member kinds,
+    k_dropped and its three components also 3 <= i_m < z.
+    """
+    i_m, z, c = i_c + i_d, params.z, params.c
+    out = [math.nan] * 6
+    if i_c >= 1 and i_d >= 1:
+        here = fit(params, i_c, i_d)
+        out[2] = (fit(params, i_c + 1, i_d - 1).f_c - here.f_c
+                  + here.f_d - fit(params, i_c - 1, i_d + 1).f_d)
+        out[0] = out[2] / (2.0 * c)
+        if 3 <= i_m < z:
+            out[3] = fit(params, i_c, i_d - 1).f_o - fit(params, i_c - 1, i_d).f_o
+            out[4] = fit(params, i_c + 1, i_d - 1).f_c - fit(params, i_c + 1, i_d).f_c
+            out[5] = fit(params, i_c, i_d + 1).f_d - fit(params, i_c - 1, i_d + 1).f_d
+            out[1] = (1.0 - i_m / z) * (out[3] - out[4] - out[5]) / (2.0 * c)
+    return tuple(out)
+
+
+def informed_field_at(fit, params, i_c: int, i_d: int) -> tuple:
+    """(x_dot, y_dot, d_cd, d_dc, d_co, d_oc, d_do, d_od) of the informed field at (i_c, i_d).
+
+    delta_xy is fitness of y at the composition a switch x -> y creates
+    minus fitness of x here.  A switch nobody can make is not evaluated:
+    its delta is None and it adds nothing to the field.
+    """
+    i_m = i_c + i_d
+    if i_m == 0:
+        return (0.0, 0.0) + (None,) * 6
+    x, y = i_c / i_m, i_m / params.z
+    here = fit(params, i_c, i_d)
+    d_cd = d_dc = d_co = d_oc = d_do = d_od = None
+    if i_c >= 1 and i_d >= 1:
+        d_dc = fit(params, i_c + 1, i_d - 1).f_c - here.f_d
+        d_cd = fit(params, i_c - 1, i_d + 1).f_d - here.f_c
+    if i_c >= 1:
+        d_co = fit(params, i_c - 1, i_d).f_o - here.f_c
+    if i_d >= 1:
+        d_do = fit(params, i_c, i_d - 1).f_o - here.f_d
+    if i_m < params.z:
+        d_oc = fit(params, i_c + 1, i_d).f_c - here.f_o
+        d_od = fit(params, i_c, i_d + 1).f_d - here.f_o
+
+    def val(delta):
+        return 0.0 if delta is None else delta
+
+    x_dot = 0.5 * x * (1.0 - x) * (
+        y * (val(d_dc) - val(d_cd))
+        + (1.0 - y) * (val(d_oc) - val(d_co) + val(d_do) - val(d_od))
+    )
+    y_dot = 0.5 * y * (1.0 - y) * (
+        x * (val(d_oc) - val(d_co)) + (1.0 - x) * (val(d_od) - val(d_do))
+    )
+    return x_dot, y_dot, d_cd, d_dc, d_co, d_oc, d_do, d_od
+
+
+def member_means(params, i_c: int, i_d: int, n: int) -> tuple[float, float]:
+    """(mean_R, mean_b) at (i_c, i_d) with groups of n, one `pmf_row_formula` row per member view.
+
+    mean_R averages the marginal return R(k c) over the mean of the two
+    member views' co-member draws, NaN unless both kinds are present;
+    mean_b averages b = B/c over the group a random member anchors, the
+    anchor's own contribution included.
+    """
+    i_m = i_c + i_d
+    produced = np.asarray(params.benefit(np.arange(n + 1) * params.c, n * params.c), dtype=float)
+    r_vals = (produced[1:] - produced[:-1]) / params.c
+    b_vals = produced / params.c
+    row_d = pmf_row_formula(i_m - 1, n - 1, i_c) if i_d >= 1 else None
+    row_c = pmf_row_formula(i_m - 1, n - 1, i_c - 1) if i_c >= 1 else None
+    mean_r = math.nan
+    if row_c is not None and row_d is not None:
+        mean_r = float((0.5 * (row_d + row_c)) @ r_vals)
+    x = i_c / i_m
+    mean_b = 0.0
+    if row_c is not None:
+        mean_b += x * float(row_c @ b_vals[1:])
+    if row_d is not None:
+        mean_b += (1.0 - x) * float(row_d @ b_vals[:-1])
+    return mean_r, mean_b
 
 
 def neutral_chain_exact(z: int, mu: Fraction):

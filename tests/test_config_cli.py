@@ -14,16 +14,15 @@ import numpy as np
 import pytest
 
 import coaldyn
-from coaldyn import (ConfigError, NonConvergenceError, PopulationState, classify_state,
-                     informed_field, marginal_gains)
+from coaldyn import ConfigError, NonConvergenceError, classify_state, marginal_gains
 from coaldyn.cli import main
 from coaldyn.config import ExperimentConfig, load_config
-from coaldyn.game import group_size
+from coaldyn.game import effective_shares, group_size
 from coaldyn.experiments import _json_safe, _matched_members, _state_prefix, run_experiment, write_csv
-from coaldyn.replicator import information_cost, replicator_field
-from coaldyn.sampling import FitnessTable, fitness_table
+from coaldyn.sampling import FitnessTable, fitness_at, fitness_table
 from coaldyn.markov import StateIndex, build_chain, monte_carlo, selection_gradient, stationary
 from coaldyn.svg import _dot_prefixes, _f, _point, simplex_svg
+from oracles import information_cost_at, informed_field_at, member_means, replicator_field_at
 
 BASE = """
 [game]
@@ -321,6 +320,73 @@ def test_k_profile_outputs(tmp_path):
     assert all(v >= 0.0 for v in summary["max_abs_k_exact"])
 
 
+@pytest.mark.parametrize("y_slice", [0.5, 1])
+def test_k_profile_rows_match_oracles(tmp_path, y_slice):
+    """Every k_profile.csv row and the summary against the per-state oracles.
+
+    The state columns and K are exact; r_term, mean_R times the group's
+    shares, is within 1e-15 relative of the per-row draw.
+    """
+    cfg = run_cfg(tmp_path, "k-profile", extra=f"\ny_slice = {y_slice}")
+    run_experiment(cfg)
+    out = tmp_path / "out"
+    header, *lines = (out / "k_profile.csv").read_text().splitlines()
+    assert header == "alpha,i_C,i_M,N,x,y,k_exact,k_dropped,r_term"
+    z = cfg.params.z
+    i_m = {0.5: 6, 1: z}[y_slice]
+    assert len(lines) == len(cfg.values) * (i_m - 1)
+    rows = iter(lines)
+    for alpha in cfg.values:
+        p = dataclasses.replace(cfg.params, alpha=alpha)
+        n = group_size(p, i_m)
+        shares = effective_shares(p, n)
+        k_line = []
+        for i_c in range(1, i_m):
+            k_exact, k_dropped, *_ = information_cost_at(fitness_at, p, i_c, i_m - i_c)
+            cells = next(rows).split(",")
+            assert cells[:8] == [str(v) for v in (alpha, i_c, i_m, n, i_c / i_m, i_m / z,
+                                                  k_exact, k_dropped)]
+            r_term = member_means(p, i_c, i_m - i_c, n)[0] * (shares.eps1 + shares.eps2)
+            assert float(cells[8]) == pytest.approx(r_term, rel=1e-15, abs=0.0)
+            k_line.append(k_exact)
+        summary = json.loads((out / "k_profile_summary.json").read_text())
+        j = cfg.values.index(alpha)
+        assert summary["max_abs_k_exact"][j] == max(abs(k) for k in k_line)
+        assert summary["k_exact_mid"][j] == k_line[len(k_line) // 2]
+
+
+def test_traced_handlers_find_every_wrapped_name(tmp_path):
+    """perfbench/tracing.py wraps public names on coaldyn.experiments by name.
+
+    In a fresh process, its `install` must find every one of them, and
+    the traced k-profile and s1-compare runs must still complete.
+    """
+    root = Path(__file__).parents[1]
+    k_profile = write_cfg(tmp_path, BASE.replace("name = stationary", "name = k-profile"), "k.cfg")
+    s1 = write_cfg(tmp_path, BASE.replace("name = stationary", "name = s1-compare\nz_pair = 12 20\n"
+                                          "group_size = 4"), "s1.cfg")
+    code = f"""
+import sys
+sys.path.insert(0, {str(root / "perfbench")!r})
+import tracing
+from coaldyn.config import load_config
+from coaldyn.experiments import run_experiment
+tracer = tracing.Tracer()
+tracing.install(tracer)
+for path, out in (({str(k_profile)!r}, "k"), ({str(s1)!r}, "s1")):
+    run_experiment(load_config(path, out_dir={str(tmp_path)!r} + "/" + out))
+print(sorted({{span["name"] for span in tracer.spans}}))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "experiments.write" in done.stdout
+    assert (tmp_path / "k" / "k_profile.csv").exists()
+    assert (tmp_path / "s1" / "s1_compare.csv").exists()
+
+
 def test_s1_compare_outputs(tmp_path):
     base = BASE.replace("g_m_seats = 2", "g_m = 0.2").replace("z = 12", "z = 20")
     cfg = run_cfg(tmp_path, "s1-compare", extra="\nz_pair = 20 10\ngroup_size = 5", base=base)
@@ -339,7 +405,7 @@ def test_s1_compare_outputs(tmp_path):
 
 @pytest.mark.parametrize("target", [2, 12, 30])
 def test_s1_compare_equals_pointwise_functions(tmp_path, target):
-    """Every s1-compare row and max_gap against the pointwise functions.
+    """Every s1-compare row and max_gap against the per-state oracles.
 
     Group size 2 lands on the two-member coalition and 30 on the whole
     population at z = 30, where k is NaN.
@@ -358,11 +424,11 @@ def test_s1_compare_equals_pointwise_functions(tmp_path, target):
             slices.add(i_m if i_m in (2, z) else "inside")
             gap = 0.0
             for i_c in range(1, i_m):
-                state = PopulationState(i_c=i_c, i_d=i_m - i_c, z=z)
-                uninformed = replicator_field(p, state)[0]
-                informed = informed_field(p, state).x_dot
+                uninformed = replicator_field_at(fitness_at, p, i_c, i_m - i_c)[0]
+                informed = informed_field_at(fitness_at, p, i_c, i_m - i_c)[0]
                 x = i_c / i_m
-                k_full = information_cost(p, state).k_full
+                k_exact, k_dropped, *_ = information_cost_at(fitness_at, p, i_c, i_m - i_c)
+                k_full = k_exact + k_dropped
                 k = x * (1.0 - x) * p.c * k_full  # NaN where k_full is
                 gap = max(gap, abs(uninformed - informed))
                 rows.append(",".join(map(str, (z, alpha, i_m, group_size(p, i_m), i_c, x,
@@ -399,7 +465,7 @@ def test_s1_compare_builds_only_the_levels_next_to_its_slice(tmp_path, monkeypat
 
 
 def test_informed_map_matches_pointwise_functions(tmp_path):
-    """Every row of the vectorised informed map against the scalar functions."""
+    """Every row of the vectorised informed map against the scalar gains and the per-state oracle."""
     text = BASE.replace("z = 12", "z = 30").replace("alpha = 2.0", "alpha = 4.0")
     cfg = load_config(write_cfg(tmp_path, text), out_dir=tmp_path / "out",
                       experiment="informed-map")
@@ -421,12 +487,12 @@ def test_informed_map_matches_pointwise_functions(tmp_path):
         k_rep = round(i_c / i_m * (n - 1))
         gains = marginal_gains(p, k_rep * p.c, n)
         cls = classify_state(p, k_rep * p.c, n)
-        flow = informed_field(p, PopulationState(i_c=i_c, i_d=i_d, z=z))
+        flow = informed_field_at(fitness_at, p, i_c, i_d)
         assert int(cells[4]) == n
         assert [float(v) for v in cells[5:8]] == [gains.d_cd, gains.d_do, gains.d_co]
         assert tuple(int(v) for v in cells[8:11]) == cls.signs
         assert cells[11] == (cls.label or "")
-        assert [float(v) for v in cells[12:14]] == [flow.x_dot, flow.y_dot]
+        assert [float(v) for v in cells[12:14]] == list(flow[:2])
 
 
 def test_montecarlo_outputs(tmp_path):

@@ -22,7 +22,10 @@ from coaldyn import (
 from coaldyn.config import ExperimentConfig
 from coaldyn.experiments import run_experiment
 from coaldyn.game import effective_shares, group_size
+from coaldyn.informed import informed_field
 from coaldyn.replicator import mean_benefit, mean_return
+from coaldyn.sampling import fitness_at
+from oracles import information_cost_at, informed_field_at, member_means, replicator_field_at
 
 SIGMOID = BenefitFunction.sigmoid()
 
@@ -191,26 +194,27 @@ def test_large_alpha_cancellation_ratio_small():
 
 
 def test_flow_field_table_consistency(tmp_path):
-    """flow_field equals the pointwise functions at every interior state,
+    """flow_field equals the per-state oracles at every interior state,
     and field.csv leads each row with the text of its state columns."""
     p = params(z=30, g_m=2 / 30, alpha=4.0)
     field = flow_field(p)
     states = list(interior_states(30))
     assert list(zip(field.i_c.tolist(), field.i_d.tolist())) == [(s.i_c, s.i_d) for s in states]
     for j, s in enumerate(states):
-        x_dot, y_dot = replicator_field(p, s)
-        cost = information_cost(p, s)
+        x_dot, y_dot = replicator_field_at(fitness_at, p, s.i_c, s.i_d)
+        k_exact, k_dropped, *_ = information_cost_at(fitness_at, p, s.i_c, s.i_d)
+        mean_r, mean_b = member_means(p, s.i_c, s.i_d, group_size(p, s.i_m))
         assert (field.x[j], field.y[j]) == (s.x, s.y)
         assert field.x_dot[j] == x_dot
         assert field.y_dot[j] == y_dot
-        assert field.k_exact[j] == cost.k_exact
+        assert field.k_exact[j] == k_exact
         # K_dropped is NaN exactly where the decomposition reports a boundary
-        if math.isnan(cost.k_dropped):
+        if math.isnan(k_dropped):
             assert np.isnan(field.k_dropped[j])
         else:
-            assert field.k_dropped[j] == cost.k_dropped
-        assert field.mean_r[j] == pytest.approx(mean_return(p, s), rel=1e-12, abs=0.0)
-        assert field.mean_b[j] == pytest.approx(mean_benefit(p, s), rel=1e-12, abs=0.0)
+            assert field.k_dropped[j] == k_dropped
+        assert field.mean_r[j] == pytest.approx(mean_r, rel=1e-12, abs=0.0)
+        assert field.mean_b[j] == pytest.approx(mean_b, rel=1e-12, abs=0.0)
     assert np.isnan(field.k_dropped[0])  # the two-member coalition (1, 1)
     assert field.COLUMNS[0] == "i_C" and len(field.COLUMNS) == 10
     run_experiment(ExperimentConfig(params=p, experiment="field", out_dir=tmp_path, formats=("csv",)))
@@ -219,3 +223,53 @@ def test_flow_field_table_consistency(tmp_path):
     for j, row in enumerate(rows):
         assert len(row) == len(field.COLUMNS)
         assert row[:4] == [str(a[j]) for a in (field.i_c, field.i_d, field.x, field.y)]
+
+
+def _same(got, want):
+    """Equal bit for bit up to the sign of zero, NaN matching NaN and None matching None."""
+    if want is None or got is None:
+        return got is None and want is None
+    return got == want or (math.isnan(got) and math.isnan(want))
+
+
+@pytest.mark.parametrize("z", [4, 12, 30])
+def test_pointwise_functions_match_oracles_at_every_state(z):
+    """Each pointwise function against its per-state oracle at every composition.
+
+    The smallest population the game admits is z = 4.  Every (i_c, i_d)
+    is visited, so the empty, one-member, two-member and full coalitions
+    and both edges i_c = 0 and i_c = i_m are all covered.
+    """
+    p = params(z=z, g_m=2 / z, alpha=2.0)
+    for i_m in range(z + 1):
+        for i_c in range(i_m + 1):
+            s = PopulationState(i_c=i_c, i_d=i_m - i_c, z=z)
+            got = replicator_field(p, s)
+            assert type(got[0]) is float and type(got[1]) is float
+            assert got == replicator_field_at(fitness_at, p, s.i_c, s.i_d), s
+            cost = information_cost(p, s)
+            want = information_cost_at(fitness_at, p, s.i_c, s.i_d)
+            got = (cost.k_exact, cost.k_dropped, cost.swap_c, cost.outsider, cost.entry_c,
+                   cost.entry_d)
+            assert all(_same(g, w) for g, w in zip(got, want)), (s, got, want)
+            flow = informed_field(p, s)
+            want = informed_field_at(fitness_at, p, s.i_c, s.i_d)
+            got = (flow.x_dot, flow.y_dot, flow.delta_cd, flow.delta_dc, flow.delta_co,
+                   flow.delta_oc, flow.delta_do, flow.delta_od)
+            assert all(_same(g, w) for g, w in zip(got, want)), (s, got, want)
+            if i_m < 2:
+                for fn in (mean_return, mean_benefit):
+                    with pytest.raises(ValueError):
+                        fn(p, s)
+                continue
+            mean_r, mean_b = member_means(p, s.i_c, s.i_d, group_size(p, i_m))
+            assert mean_benefit(p, s) == pytest.approx(mean_b, rel=1e-12, abs=0.0), s
+            if 1 <= i_c < i_m:
+                assert mean_return(p, s) == pytest.approx(mean_r, rel=1e-12, abs=0.0), s
+            else:
+                with pytest.raises(ValueError):
+                    mean_return(p, s)
+    other = PopulationState(i_c=1, i_d=1, z=z + 1)
+    for fn in (replicator_field, information_cost, informed_field):
+        with pytest.raises(ValueError, match="population"):
+            fn(p, other)
