@@ -7,12 +7,29 @@ Python ints, floats and labels, with per-state columns taken from numpy
 by ``.tolist()``; an undefined value is NaN, never None.  `write_csv`
 writes each cell as its ``str()``, the shortest round-trip form for a
 float and ``nan`` for NaN.  The i_C, i_D, x and y cells of a state are
-the same text in every per-state CSV, so `_state_prefix` formats them
-once per population size and rows lead with that one string; likewise
-`informed-map` formats each (N, k) gain cell once.  `sweep-alpha`
-builds, solves and writes each panel in a worker process, up to
-min(panels, usable CPUs) of them at once, and collects the panels in alpha
-order, so no output depends on the worker count.  Each run finishes by
+the same text in every per-state CSV, so `_state_text` formats them
+once per population size, as one string and an int64 offset per state,
+and rows lead with the state's slice of it; likewise `informed-map`
+formats each (N, k) gain cell once.
+
+Per-state work runs in blocks of `BLOCK_ROWS` = 4096 states.  The field,
+informed-map, stationary, gradient and occupancy CSVs reach `write_csv`
+as a chain of per-block zips over column slices, so one block of cells
+at a time exists as Python objects, and `flow_field` and the informed
+field fill their columns a block at a time.  What stays resident per
+population size is the fitness table, 3 (z + 2)^2 floats (1.0 MB at
+z = 200, 3.9 MB at z = 400), and the state text, about 29 bytes a state
+plus its 8-byte offset (0.74 MB at z = 200, 3.1 MB at z = 400), beside
+the output columns themselves.  With whole columns, one fresh process
+peaked at 44.5 MB for `field` and 42.8 MB for `informed-map` at z = 200,
+and at 75.4 and 68.9 MB at z = 400; in blocks they peak at 39.9 and
+38.8 MB, and at 51.3 and 51.7 MB (``ru_maxrss`` on a 2-core x86-64 host,
+Python 3.11, numpy 2.4, one BLAS thread, the game of the benchmark's
+flow_z200.cfg).
+
+`sweep-alpha` builds, solves and writes each panel in a worker process,
+up to min(panels, usable CPUs) of them at once, and collects the panels in
+alpha order, so no output depends on the worker count.  Each run finishes by
 writing ``manifest.json`` with the resolved configuration, package version,
 and a checksum per output file.
 """
@@ -28,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +60,7 @@ from .informed import gains_on_grid, informed_field_grid
 from .informed import classify_state, informed_field, marginal_gains  # noqa: F401
 from .markov import (StateIndex, _check_capacity, _summarize, build_chain, monte_carlo,
                      selection_gradient, stationary)
-from .replicator import find_fixed_points, flow_field, replicator_field_grid
+from .replicator import _row_blocks, find_fixed_points, flow_field, replicator_field_grid
 from .replicator import information_cost, mean_return, replicator_field  # noqa: F401
 from .sampling import _means_at
 from .svg import simplex_svg
@@ -125,22 +142,44 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 # --- shared pieces --------------------------------------------------------
 
 @lru_cache(maxsize=1)
-def _state_prefix(z: int) -> tuple[str, ...]:
-    """The "i_C,i_D,x,y" text of every state, in state order, x nan where no member exists.
+def _state_text(z: int) -> tuple[str, np.ndarray]:
+    """The "i_C,i_D,x,y" text of every state, as one string and its int64 offsets.
 
-    Formatted once per population size: every panel of a sweep shares it.
+    State s, in state order, reads text[offsets[s]:offsets[s + 1]], with x
+    nan where no member exists.  Formatted once per population size, one
+    i_c row at a time: every panel of a sweep shares it.
     """
-    index = StateIndex.for_population(z)
-    i_m = index.i_c_of + index.i_d_of
-    x = np.divide(index.i_c_of, i_m, out=np.full(index.n_states, np.nan), where=i_m > 0)
     y = (np.arange(z + 1) / z).tolist()
-    return tuple(f"{i_c},{i_d},{xv},{y[m]}" for i_c, i_d, xv, m in zip(
-        index.i_c_of.tolist(), index.i_d_of.tolist(), x.tolist(), i_m.tolist()))
+    rows = []
+    offsets = np.zeros((z + 1) * (z + 2) // 2 + 1, dtype=np.int64)  # lengths, then their running sum
+    start = 1
+    for i_c in range(z + 1):
+        i_m = np.arange(i_c, z + 1)
+        x = np.divide(i_c, i_m, out=np.full(z + 1 - i_c, np.nan), where=i_m > 0)
+        cells = [f"{i_c},{i_d},{xv},{y[m]}" for i_d, (xv, m) in enumerate(zip(x.tolist(), i_m.tolist()))]
+        offsets[start : start + len(cells)] = list(map(len, cells))
+        start += len(cells)
+        rows.append("".join(cells))
+    np.cumsum(offsets, out=offsets)
+    offsets.setflags(write=False)
+    return "".join(rows), offsets
 
 
-def _prefix_of(z: int, i_c: np.ndarray, i_d: np.ndarray):
-    """The `_state_prefix` text of the states (i_c, i_d), in the given order."""
-    return map(_state_prefix(z).__getitem__, StateIndex.for_population(z).index_of(i_c, i_d).tolist())
+def _state_rows(z: int, i_c: np.ndarray, i_d: np.ndarray, *columns: np.ndarray):
+    """CSV rows of the states (i_c, i_d): the state's `_state_text`, then its cell of each column.
+
+    The columns are arrays aligned with i_c and i_d.  Rows are built one
+    block of `BLOCK_ROWS` states at a time, as the writer reads them.
+    """
+    text, offsets = _state_text(z)
+    first = StateIndex.for_population(z).offsets  # flat index of (i_c, 0)
+
+    def block(rows: slice):
+        s = first[i_c[rows]] + i_d[rows]
+        return zip(map(text.__getitem__, map(slice, offsets[s].tolist(), offsets[s + 1].tolist())),
+                   *(col[rows].tolist() for col in columns))
+
+    return chain.from_iterable(map(block, _row_blocks(len(i_c))))
 
 
 def _simplex_arrows(z: int, i_c, i_d, d_c, d_d, speed) -> list[tuple[int, int, float, float, float]]:
@@ -161,12 +200,12 @@ def _stationary_outputs(cfg: ExperimentConfig, params: GameParams, tag: str,
     index = model.index
     written: list[Path] = []
 
-    # Each column list is built inside the call that writes it, so none
-    # outlives its writer: hoisting them raises the sweep's peak RSS.
+    # Each CSV's rows are built inside the call that writes it, a block at
+    # a time, so no block outlives its writer.
     if "csv" in cfg.formats:
         path = cfg.out_dir / f"stationary{tag}.csv"
         write_csv(path, ("i_C", "i_D", "x", "y", "pi"),
-                  zip(_state_prefix(index.z), result.pi.tolist()))
+                  _state_rows(index.z, index.i_c_of, index.i_d_of, result.pi))
         written.append(path)
 
     grad = None
@@ -175,8 +214,8 @@ def _stationary_outputs(cfg: ExperimentConfig, params: GameParams, tag: str,
         if "csv" in cfg.formats:
             path = cfg.out_dir / f"gradient{tag}.csv"
             write_csv(path, ("i_C", "i_D", "x", "y", "grad_x", "grad_y", "speed"),
-                      zip(_state_prefix(index.z), grad.grad_x.tolist(), grad.grad_y.tolist(),
-                          grad.speed.tolist()))
+                      _state_rows(index.z, index.i_c_of, index.i_d_of,
+                                  grad.grad_x, grad.grad_y, grad.speed))
             written.append(path)
 
     if "svg" in cfg.formats:
@@ -213,10 +252,9 @@ def _run_field(cfg: ExperimentConfig) -> list[Path]:
     written: list[Path] = []
     if "csv" in cfg.formats:
         path = cfg.out_dir / "field.csv"
-        write_csv(path, field.COLUMNS, zip(
-            _prefix_of(params.z, field.i_c, field.i_d),
-            *(col.tolist() for col in (field.x_dot, field.y_dot, field.mean_r, field.mean_b,
-                                       field.k_exact, field.k_dropped))))
+        write_csv(path, field.COLUMNS, _state_rows(
+            params.z, field.i_c, field.i_d, field.x_dot, field.y_dot, field.mean_r, field.mean_b,
+            field.k_exact, field.k_dropped))
         written.append(path)
 
     points = find_fixed_points(params, grid_resolution=cfg.resolution)
@@ -274,7 +312,7 @@ def _run_sweep_alpha(cfg: ExperimentConfig) -> list[Path]:
     from concurrent.futures import ProcessPoolExecutor
 
     _check_capacity(cfg.params.z)  # an oversized sweep fails before its state text is formatted
-    _state_prefix(cfg.params.z)
+    _state_text(cfg.params.z)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     start = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     pool = ProcessPoolExecutor(min(len(cfg.values), cpus), mp_context=multiprocessing.get_context(start))
@@ -329,10 +367,12 @@ def _run_informed_map(cfg: ExperimentConfig) -> list[Path]:
     i_m, i_c = np.tril_indices(z + 1)
     coalition = i_m >= 2
     i_m, i_c = i_m[coalition], i_c[coalition]
-    x = i_c / i_m
-    x_dot, y_dot = informed_field_grid(params, i_m, i_c)[:2]
+    x_dot, y_dot = flow = np.empty((2, len(i_m)))
+    for rows in _row_blocks(len(i_m)):
+        flow[:, rows] = informed_field_grid(params, i_m[rows], i_c[rows])[:2]
     cells = {}  # group size N -> `_gain_cells(params, N)`
-    cell_text, labels = [], []
+    cell_text = np.empty(len(i_m), dtype=object)
+    labels = Counter()
     start = 0
     for m in range(2, z + 1):
         level = slice(start, start + m + 1)
@@ -343,17 +383,16 @@ def _run_informed_map(cfg: ExperimentConfig) -> list[Path]:
         text, label = cells[n_m]
         # Representative group-level gains: a group of n with the state's
         # cooperator share among the other n - 1 seats.
-        k_rep = np.rint(x[level] * (n_m - 1)).astype(int).tolist()
-        cell_text.extend(map(text.__getitem__, k_rep))
-        labels.extend(map(label.__getitem__, k_rep))
-    rows = zip(_prefix_of(z, i_c, i_m - i_c), cell_text, x_dot.tolist(), y_dot.tolist())
-    label_counts = dict(Counter(label or "none" for label in labels))
+        k_rep = np.rint(np.arange(m + 1) / m * (n_m - 1)).astype(int).tolist()
+        cell_text[level] = list(map(text.__getitem__, k_rep))
+        labels.update(map(label.__getitem__, k_rep))
+    label_counts = {label or "none": count for label, count in labels.items()}
     written: list[Path] = []
     if "csv" in cfg.formats:
         path = cfg.out_dir / "informed_map.csv"
         write_csv(path, ("i_C", "i_D", "x", "y", "N", "d_cd", "d_do", "d_co",
                          "sign_cd", "sign_do", "sign_co", "label",
-                         "x_dot", "y_dot"), rows)
+                         "x_dot", "y_dot"), _state_rows(z, i_c, i_m - i_c, cell_text, x_dot, y_dot))
         written.append(path)
     if "json" in cfg.formats:
         path = cfg.out_dir / "informed_summary.json"
@@ -479,7 +518,7 @@ def _run_montecarlo(cfg: ExperimentConfig) -> list[Path]:
     if "csv" in cfg.formats:
         path = cfg.out_dir / "occupancy.csv"
         write_csv(path, ("i_C", "i_D", "x", "y", "occupancy"),
-                  zip(_state_prefix(index.z), result.occupancy.tolist()))
+                  _state_rows(index.z, index.i_c_of, index.i_d_of, result.occupancy))
         written.append(path)
 
         path = cfg.out_dir / "trajectory.csv"

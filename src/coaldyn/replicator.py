@@ -19,11 +19,12 @@ further correction, K_dropped, measures what imitation based on
 anticipated post-switch fitness (the informed field) would add on top.
 
 Each quantity has one arithmetic, `replicator_field_grid`, over arrays
-of states; `flow_field` reads it on the whole interior grid, and the
-pointwise `replicator_field` and `information_cost` read it at one
-state.  mean_R and mean_b come from the fitness table's level draws.
-The module also locates and classifies rest points of the field
-interpolated off the integer state grid.
+of states; `flow_field` reads it on the whole interior grid, one block
+of `BLOCK_ROWS` states at a time, and the pointwise `replicator_field`
+and `information_cost` read it at one state.  mean_R and mean_b come
+from the fitness table's level draws.  The module also locates and
+classifies rest points of the field interpolated off the integer state
+grid.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ __all__ = [
     "find_fixed_points",
 ]
 
+# Rows of per-state work done at once: `flow_field` and the per-state CSV
+# writers hold temporaries of this length, not of the whole grid.
+BLOCK_ROWS = 4096
+
 
 def replicator_field(params: GameParams, state: PopulationState) -> tuple[float, float]:
     """(x_dot, y_dot) at a population state: `replicator_field_grid` at that one state.
@@ -73,6 +78,8 @@ def mean_return(params: GameParams, state: PopulationState) -> float:
     kinds present (1 <= i_c <= i_m - 1).  The arithmetic of
     `FitnessTable.means`, over the two draw rows the state reads.
     """
+    if state.z != params.z:
+        raise ValueError(f"state population {state.z} != params population {params.z}")
     if state.i_m < 2 or state.i_c < 1 or state.i_d < 1:
         raise ValueError(f"mean_return needs both member kinds present, got {state}")
     return _means_at(params, state.i_m, state.i_c, state.i_c)[0].item()
@@ -86,6 +93,8 @@ def mean_benefit(params: GameParams, state: PopulationState) -> float:
     Defined for every composition of a coalition of two or more,
     i_c = 0 and i_c = i_m included.
     """
+    if state.z != params.z:
+        raise ValueError(f"state population {state.z} != params population {params.z}")
     if state.i_m < 2:
         raise ValueError(f"mean_benefit needs a coalition of two or more, got {state}")
     return _means_at(params, state.i_m, state.i_c, state.i_c)[1].item()
@@ -199,19 +208,29 @@ def replicator_field_grid(params: GameParams, i_m: np.ndarray, i_c: np.ndarray):
     return x, y, x_dot, y_dot, swap / (2.0 * c), k_dropped, swap, outsider, entry_c, entry_d
 
 
+def _row_blocks(n: int):
+    """Slices of at most BLOCK_ROWS consecutive rows that cover rows 0..n-1 in order."""
+    return (slice(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS))
+
+
 def flow_field(params: GameParams) -> FlowField:
     """Evaluate the replicator field and its K diagnostics on the interior grid.
 
-    The field and K columns come from `replicator_field_grid`; mean_R and
-    mean_b from the fitness table's `means`, which builds each coalition
-    size's hypergeometric draw once for its fitness and its means.  Rows
-    run over i_m = 2..z and, within one, i_c = 1..i_m - 1.
+    The field and K columns are filled from `replicator_field_grid` one
+    block of `BLOCK_ROWS` states at a time, so its temporaries stay a block
+    long; each is elementwise, so the values do not depend on the blocks.
+    mean_R and mean_b come from the fitness table's `means`, which builds
+    each coalition size's hypergeometric draw once for its fitness and its
+    means.  Rows run over i_m = 2..z and, within one, i_c = 1..i_m - 1.
     """
     mean_r, mean_b = fitness_table(params).means()
     i_m, i_c = np.tril_indices(params.z + 1, -1)
     interior = i_c >= 1
     i_m, i_c = i_m[interior], i_c[interior]
-    x, y, x_dot, y_dot, k_exact, k_dropped = replicator_field_grid(params, i_m, i_c)[:6]
+    x, y, x_dot, y_dot, k_exact, k_dropped = columns = np.empty((6, len(i_m)))
+    for rows in _row_blocks(len(i_m)):
+        for column, values in zip(columns, replicator_field_grid(params, i_m[rows], i_c[rows])[:6]):
+            column[rows] = values
     return FlowField(
         params=params,
         i_c=i_c,
@@ -244,7 +263,8 @@ class _InterpolatedField:
     of the integer grid, which is the point of interpolating at all.
     The outsider formula is evaluated hypothetically where no outsider
     exists.  Rows for coalitions of fewer than two members carry zero
-    fitness (no group convenes).
+    fitness (no group convenes).  Each row i_m >= 2 is a copy of the
+    table's level i_m, the i_m + 1 nodes read, not of the whole grid row.
     """
 
     def __init__(self, params: GameParams):
@@ -252,21 +272,20 @@ class _InterpolatedField:
         z = params.z
         self.z = z
         table = fitness_table(params)
-        fc, fd, fo = (a.copy() for a in table.grid())
-        m = np.arange(2, z + 1)
-        fc[m, 0] = fd[m, 0] + (fc[m, 1] - fd[m, 1])
-        fd[m, m] = fc[m, m] - (fc[m, m - 1] - fd[m, m - 1])
-        fo[z, : z + 1] = table.f_o_full
-        self.fc_rows, self.fd_rows, self.fo_rows = fc, fd, fo
+        self.rows = [None, None]
+        for i_m in range(2, z + 1):
+            fc, fd, fo = row = table.level(i_m).copy()
+            fc[0] = fd[0] + (fc[1] - fd[1])
+            fd[i_m] = fc[i_m] - (fc[i_m - 1] - fd[i_m - 1])
+            self.rows.append(row)
+        self.rows[z][2] = table.f_o_full
         self.nodes = [None, None] + [np.arange(i_m + 1) / i_m for i_m in range(2, z + 1)]
 
     def _row_eval(self, i_m: int, x):
         """Row i_m's (f_C, f_D, f_O) at x, a float or an array of them."""
         if i_m < 2:
             return 0.0, 0.0, 0.0
-        row = slice(0, i_m + 1)
-        return tuple(np.interp(x, self.nodes[i_m], f[i_m, row])
-                     for f in (self.fc_rows, self.fd_rows, self.fo_rows))
+        return tuple(np.interp(x, self.nodes[i_m], f) for f in self.rows[i_m])
 
     def fitness_values(self, x, y: float) -> tuple[float, float, float]:
         """Interpolated (f_C, f_D, f_O) at (x, y); x may be an array, y is one float."""

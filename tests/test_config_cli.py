@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,9 @@ from coaldyn import ConfigError, NonConvergenceError, classify_state, marginal_g
 from coaldyn.cli import main
 from coaldyn.config import ExperimentConfig, load_config
 from coaldyn.game import effective_shares, group_size
-from coaldyn.experiments import _json_safe, _matched_members, _state_prefix, run_experiment, write_csv
+from coaldyn.informed import informed_field_grid
+from coaldyn.replicator import BLOCK_ROWS, replicator_field_grid
+from coaldyn.experiments import _json_safe, _matched_members, _state_text, run_experiment, write_csv
 from coaldyn.sampling import FitnessTable, fitness_at, fitness_table
 from coaldyn.markov import StateIndex, build_chain, monte_carlo, selection_gradient, stationary
 from coaldyn.svg import _dot_prefixes, _f, _point, simplex_svg
@@ -250,8 +253,11 @@ def test_state_prefix_is_the_text_of_the_state_columns():
         y = i_m / z
         want = [f"{str(a)},{str(b)},{str(c)},{str(d)}"
                 for a, b, c, d in zip(index.i_c_of, index.i_d_of, x, y)]
-        got = _state_prefix(z)
-        assert list(got) == want
+        text, offsets = _state_text(z)
+        assert offsets.dtype == np.int64 and offsets.shape == (index.n_states + 1,)
+        assert offsets[0] == 0 and offsets[-1] == len(text)
+        got = [text[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
+        assert got == want
         assert got[0] == "0,0,nan,0.0"
 
 
@@ -523,15 +529,26 @@ def test_recipes_dispatch(tmp_path):
 
 
 def test_state_csvs_follow_state_order_and_carry_exact_values(tmp_path):
-    """Every handler's CSVs on the z = 12 config: no None cell, NaN written as
-    nan, and the per-state files hold each array entry, row s + 1 for state s."""
-    extra = "\nz_pair = 12 18\ngroup_size = 2\nburn_in = 500"
+    """Every handler's CSVs on the z = 12 config and at z = 130: no None cell, NaN
+    written as nan, and the per-state files hold each array entry, row s + 1 for state s.
+
+    At z = 130 the state files have 8 646 rows, the field 8 385 and the
+    informed map 8 643, so each spans three row blocks and ends on a short
+    one; their cells are held to the whole-grid arithmetic, computed unblocked.
+    """
+    for z in (12, 130):
+        _check_state_csvs(tmp_path / f"z{z}", BASE.replace("z = 12", f"z = {z}"), z)
+
+
+def _check_state_csvs(tmp_path, base, z):
+    tmp_path.mkdir()
+    extra = f"\nz_pair = {z} {z + 6}\ngroup_size = 2\nburn_in = 500"
     runs = {name: (name, extra) for name in ("field", "stationary", "sweep-alpha", "informed-map",
                                              "k-profile", "s1-compare", "montecarlo")}
     runs["k-profile-y1"] = ("k-profile", extra + "\ny_slice = 1")
     tables = {}
     for tag, (name, text) in runs.items():
-        text = BASE.replace("name = stationary", f"name = {name}" + text)
+        text = base.replace("name = stationary", f"name = {name}" + text)
         cfg = load_config(write_cfg(tmp_path, text), out_dir=tmp_path / tag)
         run_experiment(cfg)
         for path in cfg.out_dir.glob("*.csv"):
@@ -543,6 +560,7 @@ def test_state_csvs_follow_state_order_and_carry_exact_values(tmp_path):
     assert {row[header.index("k_dropped")] for row in rows} == {"nan"}
 
     p = cfg.params
+    assert p.z == z
     model = build_chain(p)
     index = model.index
     expected = {
@@ -560,6 +578,49 @@ def test_state_csvs_follow_state_order_and_carry_exact_values(tmp_path):
         for j, want in enumerate(columns):
             got = np.array([float(row[4 + j]) for row in rows])
             assert np.array_equal(got, want, equal_nan=True), (name, j)
+
+    i_m, i_c = np.tril_indices(z + 1)
+    grids = {
+        "field/field.csv": (i_c >= 1) & (i_c < i_m),
+        "informed-map/informed_map.csv": i_m >= 2,
+    }
+    for name, keep in grids.items():
+        _, rows = tables[name]
+        m, c = i_m[keep], i_c[keep]
+        if z > 12:
+            assert len(rows) > 2 * BLOCK_ROWS and len(rows) % BLOCK_ROWS, name
+        assert [(int(row[0]), int(row[1])) for row in rows] == list(zip(c, m - c))
+        if name.startswith("field"):
+            columns = [*replicator_field_grid(p, m, c)[2:4], *fitness_table(p).means(),
+                       *replicator_field_grid(p, m, c)[4:6]]
+        else:
+            columns = informed_field_grid(p, m, c)[:2]
+        for j, want in enumerate(columns, start=len(rows[0]) - len(columns)):
+            got = np.array([float(row[j]) for row in rows])
+            assert np.array_equal(got, want, equal_nan=True), (name, j)
+
+
+def test_field_csv_is_written_in_bounded_memory(tmp_path):
+    """`field` with CSV output at z = 200 (20 301 states) traces under 6 MB of peak allocations.
+
+    The fitness table, the flow field's columns and the state text stay
+    resident; the rest is a block long.  Whole-column work (grid-long
+    temporaries, a string per state and every column as a Python list at
+    once) traced 9.0 MB on this config.
+    """
+    text = BASE.replace("z = 12", "z = 200").replace("name = stationary", "name = field")
+    cfg = load_config(write_cfg(tmp_path, text.replace("formats = csv, json", "formats = csv")),
+                      out_dir=tmp_path / "out")
+    fitness_table.cache_clear()
+    _state_text.cache_clear()
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "out" / "field.csv").read_text().count("\n") == 1 + 200 * 199 // 2
+    assert peak < 6e6, peak
 
 
 def test_reruns_are_byte_identical(tmp_path):

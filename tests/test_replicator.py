@@ -270,6 +270,6 @@ def test_pointwise_functions_match_oracles_at_every_state(z):
                 with pytest.raises(ValueError):
                     mean_return(p, s)
     other = PopulationState(i_c=1, i_d=1, z=z + 1)
-    for fn in (replicator_field, information_cost, informed_field):
+    for fn in (replicator_field, information_cost, informed_field, mean_return, mean_benefit):
         with pytest.raises(ValueError, match="population"):
             fn(p, other)
