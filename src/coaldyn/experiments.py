@@ -12,20 +12,13 @@ once per population size, as one string and an int64 offset per state,
 and rows lead with the state's slice of it; likewise `informed-map`
 formats each (N, k) gain cell once.
 
-Per-state work runs in blocks of `BLOCK_ROWS` = 4096 states.  The field,
-informed-map, stationary, gradient and occupancy CSVs reach `write_csv`
-as a chain of per-block zips over column slices, so one block of cells
-at a time exists as Python objects, and `flow_field` and the informed
-field fill their columns a block at a time.  What stays resident per
-population size is the fitness table, 3 (z + 2)^2 floats (1.0 MB at
+Per-state work runs in blocks of `BLOCK_ROWS` = 4096 states: the flow
+and informed fields fill their columns a block at a time, and the per-state
+CSVs reach `write_csv` as a chain of per-block zips.  Resident per
+population size are the fitness table, 3 (z + 2)^2 floats (1.0 MB at
 z = 200, 3.9 MB at z = 400), and the state text, about 29 bytes a state
-plus its 8-byte offset (0.74 MB at z = 200, 3.1 MB at z = 400), beside
-the output columns themselves.  With whole columns, one fresh process
-peaked at 44.5 MB for `field` and 42.8 MB for `informed-map` at z = 200,
-and at 75.4 and 68.9 MB at z = 400; in blocks they peak at 39.9 and
-38.8 MB, and at 51.3 and 51.7 MB (``ru_maxrss`` on a 2-core x86-64 host,
-Python 3.11, numpy 2.4, one BLAS thread, the game of the benchmark's
-flow_z200.cfg).
+plus an 8-byte offset (0.74 and 3.1 MB).  One `field` run peaked at 44.5 MB with whole columns and
+39.9 MB in blocks at z = 200, and at 75.4 and 51.3 MB at z = 400 (README).
 
 `sweep-alpha` builds, solves and writes each panel in a worker process,
 up to min(panels, usable CPUs) of them at once, and collects the panels in
