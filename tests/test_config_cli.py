@@ -591,22 +591,23 @@ def _check_state_csvs(tmp_path, base, z):
             assert len(rows) > 2 * BLOCK_ROWS and len(rows) % BLOCK_ROWS, name
         assert [(int(row[0]), int(row[1])) for row in rows] == list(zip(c, m - c))
         if name.startswith("field"):
-            columns = [*replicator_field_grid(p, m, c)[2:4], *fitness_table(p).means(),
-                       *replicator_field_grid(p, m, c)[4:6]]
+            grid = replicator_field_grid(p, m, c)
+            columns = [*grid[2:4], *fitness_table(p).means(), *grid[4:6]]
         else:
-            columns = informed_field_grid(p, m, c)[:2]
+            columns = informed_field_grid(p, m, c)[:2]  # the last two columns
         for j, want in enumerate(columns, start=len(rows[0]) - len(columns)):
             got = np.array([float(row[j]) for row in rows])
             assert np.array_equal(got, want, equal_nan=True), (name, j)
 
 
 def test_field_csv_is_written_in_bounded_memory(tmp_path):
-    """`field` with CSV output at z = 200 (20 301 states) traces under 6 MB of peak allocations.
+    """`field` with CSV output at z = 200 (19 900 rows) traces under 6 MB of peak allocations.
 
     The fitness table, the flow field's columns and the state text stay
-    resident; the rest is a block long.  Whole-column work (grid-long
+    resident; the rest is a block long.  The bound sits between the 4.5 MB
+    traced in blocks and the 9.0 MB that whole-column work (grid-long
     temporaries, a string per state and every column as a Python list at
-    once) traced 9.0 MB on this config.
+    once) traced on this config.
     """
     text = BASE.replace("z = 12", "z = 200").replace("name = stationary", "name = field")
     cfg = load_config(write_cfg(tmp_path, text.replace("formats = csv, json", "formats = csv")),
