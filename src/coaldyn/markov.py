@@ -628,7 +628,7 @@ def monte_carlo(params: GameParams, steps: int, seed: int, *, burn_in: int = 0,
     it the result, is a pure function of ``seed`` whatever the block size.
     A block's uniforms and per-step lists are the simulation's largest
     temporaries: 2**13 steps hold about 0.6 MB less at the peak than 2**14
-    at z = 100, for about 2% more time.
+    at z = 100, with no time difference above the run-to-run noise.
     Occupancy counts the post-update state of every step past ``burn_in``;
     ``trajectory_samples`` evenly spaced (step, i_c, i_d) rows are kept.
     """
