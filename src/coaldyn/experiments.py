@@ -17,8 +17,9 @@ and informed fields fill their columns a block at a time, and the per-state
 CSVs reach `write_csv` as a chain of per-block zips.  Resident per
 population size are the fitness table, 3 (z + 2)^2 floats (1.0 MB at
 z = 200, 3.9 MB at z = 400), and the state text, about 29 bytes a state
-plus an 8-byte offset (0.74 and 3.1 MB).  One `field` run peaked at 44.5 MB with whole columns and
-39.9 MB in blocks at z = 200, and at 75.4 and 51.3 MB at z = 400 (README).
+plus an 8-byte offset (0.74 and 3.1 MB).  One `field` run peaked at
+44.5 MB with whole columns and 39.9 MB in blocks at z = 200, and at 75.4
+and 51.3 MB at z = 400 (README).
 
 `sweep-alpha` builds, solves and writes each panel in a worker process,
 up to min(panels, usable CPUs) of them at once, and collects the panels in

@@ -274,7 +274,7 @@ class _InterpolatedField:
         table = fitness_table(params)
         self.rows = [None, None]
         for i_m in range(2, z + 1):
-            fc, fd, fo = row = table.level(i_m).copy()
+            fc, fd, _ = row = table.level(i_m).copy()
             fc[0] = fd[0] + (fc[1] - fd[1])
             fd[i_m] = fc[i_m] - (fc[i_m - 1] - fd[i_m - 1])
             self.rows.append(row)
