@@ -10,7 +10,7 @@ fall back to a default.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .benefits import BenefitFunction
@@ -108,6 +108,26 @@ class ExperimentConfig:
             raise ConfigError(f"resolution must be at least 4, got {self.resolution}")
         if any(z < 4 for z in self.z_pair) or len(self.z_pair) != 2:
             raise ConfigError(f"z_pair needs two population sizes >= 4, got {self.z_pair}")
+        # Build every parameter set the run will use, so that a bad one is a
+        # ConfigError here and not a ValueError partway through the run.
+        used = [self.params]
+        if self.experiment in ("sweep-alpha", "k-profile", "s1-compare"):
+            used = self._replacing("values", [{"alpha": a} for a in self.values])
+        if self.experiment == "s1-compare":
+            used = self._replacing("z_pair", [{"z": z, "alpha": a} for z in self.z_pair for a in self.values])
+        top = max(p.z for p in used) * self.params.c
+        try:
+            for total in (0.0, top):
+                self.params.benefit(total, top)
+        except ValueError as exc:
+            raise ConfigError(f"key 'knots' in [benefit] must cover pools 0 to z*c = {top:g}: {exc}") from None
+
+    def _replacing(self, key: str, changes: list[dict]) -> list[GameParams]:
+        """[game]'s parameters with each of the changes that `key` asks for."""
+        try:
+            return [replace(self.params, **change) for change in changes]
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r} in [experiment]: {exc}") from None
 
 
 def _section(cp: configparser.ConfigParser, name: str) -> dict[str, str]:

@@ -2,9 +2,9 @@
 
 Every handler is a pure function of its ExperimentConfig: CSV and JSON
 outputs are byte-identical across reruns, and row order is fixed by the
-state indexing.  Every CSV row and SVG ``shade`` entry is a tuple of
-Python ints, floats and labels, with per-state columns taken from numpy
-by ``.tolist()``; an undefined value is NaN, never None.  `write_csv`
+state indexing.  Every CSV row is a tuple of Python ints, floats and
+labels, with per-state columns taken from numpy by ``.tolist()`` (SVG
+panels take the arrays); an undefined value is NaN, never None.  `write_csv`
 writes each cell as its ``str()``, the shortest round-trip form for a
 float and ``nan`` for NaN.  The i_C, i_D, x and y cells of a state are
 the same text in every per-state CSV, so `_state_text` formats them
@@ -221,7 +221,7 @@ def _stationary_outputs(cfg: ExperimentConfig, params: GameParams, tag: str,
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(simplex_svg(
                 params.z, arrows=arrows, label=f"alpha = {params.alpha:g}",
-                shade=zip(index.i_c_of.tolist(), index.i_d_of.tolist(), result.pi.tolist())))
+                shade=(index.i_c_of, index.i_d_of, result.pi)))
         written.append(path)
 
     summary = {
@@ -537,7 +537,7 @@ def _run_montecarlo(cfg: ExperimentConfig) -> list[Path]:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(simplex_svg(
                 cfg.params.z, label=f"{result.steps} steps, seed {result.seed}",
-                shade=zip(index.i_c_of.tolist(), index.i_d_of.tolist(), result.occupancy.tolist())))
+                shade=(index.i_c_of, index.i_d_of, result.occupancy)))
         written.append(path)
     return written
 

@@ -139,14 +139,14 @@ def literal_row_sum_max(z: int, mu: float) -> float:
                3.0 * mu + scale * (a * b + a * c + b * c))
 
 
-MAX_STATES = 2_000_000  # default state budget of `build_chain` and `monte_carlo`
+MAX_STATES = 2_000_000  # state budget of `build_chain` and `monte_carlo`
 
 
-def _check_capacity(z: int, max_states: int = MAX_STATES) -> None:
-    """Raise CapacityError, before anything is allocated, if population z has over max_states states."""
+def _check_capacity(z: int) -> None:
+    """Raise CapacityError, before anything is allocated, if population z has over MAX_STATES states."""
     n = (z + 1) * (z + 2) // 2
-    if n > max_states:
-        raise CapacityError(f"population size {z} needs {n} states, over the budget of {max_states}")
+    if n > MAX_STATES:
+        raise CapacityError(f"population size {z} needs {n} states, over the budget of {MAX_STATES}")
 
 
 def _self_loop(move_probs: np.ndarray) -> np.ndarray:
@@ -174,9 +174,6 @@ class MarkovModel:
     mutation_form: str
     index: StateIndex
     move_probs: np.ndarray  # (n_states, 6), column m = prob of MOVES[m]
-    f_c: np.ndarray
-    f_d: np.ndarray
-    f_o: np.ndarray
 
     @property
     def z(self) -> int:
@@ -208,20 +205,20 @@ class MarkovModel:
         return transitions
 
 
-def build_chain(params: GameParams, *, mutation_form: str = "scaled",
-                max_states: int = MAX_STATES) -> MarkovModel:
+def build_chain(params: GameParams, *, mutation_form: str = "scaled") -> MarkovModel:
     """Assemble the composition chain under the chosen mutation form.
 
     Each state has at most six neighbor moves (ordered strategy pairs) plus a
-    self-loop absorbing the remainder.  Raises CapacityError when the state
-    count exceeds ``max_states``, ValueError if the literal mutation form
-    would push a row sum above one, and ReducibleChainError if ``mu > 0``
-    yet some composition cannot reach another (``mu`` underflows).
+    self-loop absorbing the remainder.  Raises CapacityError, before anything
+    is allocated, when the state count exceeds `MAX_STATES` (z above 1 998),
+    ValueError if the literal mutation form would push a row sum above one,
+    and ReducibleChainError if ``mu > 0`` yet some composition cannot reach
+    another (``mu`` underflows).
     """
     if mutation_form not in ("scaled", "literal"):
         raise ValueError(f"unknown mutation_form: {mutation_form!r}")
     z = params.z
-    _check_capacity(z, max_states)
+    _check_capacity(z)
     index = StateIndex.for_population(z)
     n = index.n_states
     if mutation_form == "literal" and literal_row_sum_max(z, params.mu) > 1.0 + 1e-12:
@@ -251,15 +248,8 @@ def build_chain(params: GameParams, *, mutation_form: str = "scaled",
             move_probs[:, m] = np.where(counts[x] >= 1.0, term, 0.0)
 
     move_probs.setflags(write=False)
-    model = MarkovModel(
-        params=params,
-        mutation_form=mutation_form,
-        index=index,
-        move_probs=move_probs,
-        f_c=fits[0],
-        f_d=fits[1],
-        f_o=fits[2],
-    )
+    model = MarkovModel(params=params, mutation_form=mutation_form, index=index,
+                        move_probs=move_probs)
 
     # With every move open wherever its focal strategy is played, each state
     # drains to (0, 0) and (0, 0) fills to each state.  Only when an underflow
@@ -605,6 +595,9 @@ def _simulate_steps(u: np.ndarray, i_c: int, i_d: int, z: int, mu: float,
     return i_c, i_d, start_step + n_steps
 
 
+BLOCK_STEPS = 1 << 13  # `monte_carlo` draws uniforms for this many steps at a time
+
+
 @dataclass(frozen=True)
 class MonteCarloResult:
     """Occupancy histogram and a thinned trajectory from one simulation run."""
@@ -618,12 +611,11 @@ class MonteCarloResult:
 
 
 def monte_carlo(params: GameParams, steps: int, seed: int, *, burn_in: int = 0,
-                initial: tuple[int, int] | None = None, trajectory_samples: int = 512,
-                block_size: int = 1 << 13,
-                max_states: int = MAX_STATES) -> MonteCarloResult:
+                initial: tuple[int, int] | None = None,
+                trajectory_samples: int = 512) -> MonteCarloResult:
     """Individual-based simulation of the update process (scaled form).
 
-    Pre-draws uniforms in blocks of ``block_size`` steps, four per step, and
+    Pre-draws uniforms in blocks of `BLOCK_STEPS` steps, four per step, and
     hands each block to `_simulate_steps`, so the consumed stream, and with
     it the result, is a pure function of ``seed`` whatever the block size.
     A block's uniforms and per-step lists are the simulation's largest
@@ -631,17 +623,16 @@ def monte_carlo(params: GameParams, steps: int, seed: int, *, burn_in: int = 0,
     at z = 100, with no time difference above the run-to-run noise.
     Occupancy counts the post-update state of every step past ``burn_in``;
     ``trajectory_samples`` evenly spaced (step, i_c, i_d) rows are kept.
+    Raises CapacityError, as `build_chain` does, over `MAX_STATES` states.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not 0 <= burn_in < steps:
         raise ValueError("burn_in must lie in [0, steps)")
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1")
     if trajectory_samples < 0:
         raise ValueError("trajectory_samples must be >= 0")
     z = params.z
-    _check_capacity(z, max_states)
+    _check_capacity(z)
     index = StateIndex.for_population(z)
     if initial is None:
         # Deterministic centered start: equal thirds, remainder to outsiders.
@@ -670,7 +661,7 @@ def monte_carlo(params: GameParams, steps: int, seed: int, *, burn_in: int = 0,
     pair_move = PAIR_TO_MOVE.tolist()
     step = 0
     while step < steps:
-        block = min(block_size, steps - step)
+        block = min(BLOCK_STEPS, steps - step)
         u = rng.random((block, 4))
         i_c, i_d, step = _simulate_steps(u, i_c, i_d, z, params.mu, fermi, pair_move,
                                          offsets, counts, step, burn_in, stride, traj, n_traj)

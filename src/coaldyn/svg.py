@@ -10,7 +10,6 @@ arrow colour ramp are fixed monotone transforms of the raw values.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,23 +34,6 @@ def _f(v: float) -> str:
     return f"{v:.2f}"
 
 
-@lru_cache(maxsize=1)
-def _dot_prefixes(z: int) -> tuple[str, ...]:
-    """Each state's shade dot up to its opacity value, in state order.
-
-    States run over (i_c, i_d) lexicographically, as in the chain's state
-    index; coordinates follow `_point`'s arithmetic term by term.
-    """
-    i_c, col = np.triu_indices(z + 1)
-    i_d = col - i_c
-    i_o = z - i_c - i_d
-    px = (i_c * _V_C[0] + i_d * _V_D[0] + i_o * _V_O[0]) / z
-    py = (i_c * _V_C[1] + i_d * _V_D[1] + i_o * _V_O[1]) / z
-    r = _f(min(9.0, max(2.2, 380.0 / z)))
-    return tuple(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r}" fill="#1f2430" fill-opacity="'
-                 for x, y in zip(px.tolist(), py.tolist()))
-
-
 def _ramp(t: float) -> str:
     t = min(max(t, 0.0), 1.0)
     rgb = tuple(int(round(a + (b - a) * t)) for a, b in zip(_COOL, _WARM))
@@ -61,8 +43,10 @@ def _ramp(t: float) -> str:
 def simplex_svg(z: int, *, shade=None, arrows=None, label: str = "") -> str:
     """Render a simplex preview.
 
-    shade: iterable of (i_c, i_d, value >= 0), drawn as darkened dots whose
-    opacity follows sqrt(value / max value).  arrows: iterable of
+    shade: (i_c, i_d, values), three per-state arrays, drawn as darkened
+    dots whose opacity follows sqrt(value / max value); states with value 0
+    or opacity below 0.004 are left out.  Any other iterable is read as
+    (i_c, i_d, value) triples.  arrows: iterable of
     (i_c, i_d, d_c, d_d, speed), drawn from each state along the composition
     displacement (d_c, d_d), coloured by speed through a fixed cool-to-warm
     ramp.  Output is a pure function of the inputs.
@@ -88,18 +72,19 @@ def simplex_svg(z: int, *, shade=None, arrows=None, label: str = "") -> str:
         )
 
     if shade is not None:
-        shade = list(shade)
-        vmax = max((s[2] for s in shade), default=0.0)
+        if not isinstance(shade, tuple):  # (i_c, i_d, value) triples, as perfbench/scaling.py passes
+            shade = np.reshape(np.array(list(shade), dtype=float), (-1, 3)).T
+        i_c, i_d, values = (np.asarray(a) for a in shade)
+        vmax = float(values.max(initial=0.0))
         if vmax > 0.0:
-            dots = _dot_prefixes(z)
-            for i_c, i_d, value in shade:
-                if value <= 0.0:
-                    continue
-                opacity = math.sqrt(value / vmax)
-                if opacity < 0.004:
-                    continue
-                # (i_c, i_d)'s position in state order.
-                parts.append(f'{dots[i_c * (2 * z + 3 - i_c) // 2 + i_d]}{opacity:.3f}"/>')
+            lit = np.flatnonzero(values > 0.0)
+            opacity = np.sqrt(values[lit] / vmax)
+            shown = opacity >= 0.004
+            lit, opacity = lit[shown], opacity[shown]
+            px, py = _point(i_c[lit], i_d[lit], z)
+            r = _f(min(9.0, max(2.2, 380.0 / z)))
+            parts.extend(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r}" fill="#1f2430" fill-opacity="{o:.3f}"/>'
+                         for x, y, o in zip(px.tolist(), py.tolist(), opacity.tolist()))
 
     if arrows is not None:
         arrows = list(arrows)

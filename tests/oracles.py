@@ -6,8 +6,8 @@ rational (hypergeometric counts, neutral-drift chains), brute-force
 enumeration where the engine uses a formula (group sampling),
 textbook closed forms for solver validation (birth-death chains,
 repeated squaring), a step-by-step loop for the Monte Carlo
-kernel, and the flow quantities one state at a time, from a fitness
-callable the test passes in.  None of it imports from coaldyn except
+kernel, the SVG shade dots one state at a time, and the flow quantities
+one state at a time, from a fitness callable the test passes in.  None of it imports from coaldyn except
 the parameter container, so agreement is evidence and not tautology.
 """
 
@@ -292,6 +292,36 @@ def member_means(params, i_c: int, i_d: int, n: int) -> tuple[float, float]:
     if row_d is not None:
         mean_b += (1.0 - x) * float(row_d @ b_vals[:-1])
     return mean_r, mean_b
+
+
+# The simplex triangle of the SVG previews: C on top, D bottom right, O bottom left.
+_TRIANGLE = ((320.0, 60.0), (580.0, 540.0), (60.0, 540.0))
+
+
+def shade_dots(z: int, shade) -> list[str]:
+    """The SVG shade dots of (i_c, i_d, value) triples, one state at a time, in the given order.
+
+    A state is drawn when its value is positive and its opacity,
+    sqrt(value / largest value), is at least 0.004.  Its centre is the
+    triangle's vertices weighted by i_c, i_d and i_o, over z.
+    """
+    shade = list(shade)
+    vmax = max((value for _, _, value in shade), default=0.0)
+    radius = min(9.0, max(2.2, 380.0 / z))
+    (c_x, c_y), (d_x, d_y), (o_x, o_y) = _TRIANGLE
+    dots = []
+    for i_c, i_d, value in shade:
+        if value <= 0.0:
+            continue
+        opacity = math.sqrt(value / vmax)
+        if opacity < 0.004:
+            continue
+        i_o = z - i_c - i_d
+        x = (i_c * c_x + i_d * d_x + i_o * o_x) / z
+        y = (i_c * c_y + i_d * d_y + i_o * o_y) / z
+        dots.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius:.2f}" '
+                    f'fill="#1f2430" fill-opacity="{opacity:.3f}"/>')
+    return dots
 
 
 def neutral_chain_exact(z: int, mu: Fraction):

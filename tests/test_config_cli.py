@@ -21,11 +21,14 @@ from coaldyn.config import ExperimentConfig, load_config
 from coaldyn.game import effective_shares, group_size
 from coaldyn.informed import informed_field_grid
 from coaldyn.replicator import BLOCK_ROWS, replicator_field_grid
-from coaldyn.experiments import _json_safe, _matched_members, _state_text, run_experiment, write_csv
+from coaldyn.config import _EXPERIMENT_KEYS
+from coaldyn.experiments import (_config_echo, _json_safe, _matched_members, _state_text,
+                                 run_experiment, write_csv)
 from coaldyn.sampling import FitnessTable, fitness_at, fitness_table
 from coaldyn.markov import StateIndex, build_chain, monte_carlo, selection_gradient, stationary
-from coaldyn.svg import _dot_prefixes, _f, _point, simplex_svg
-from oracles import information_cost_at, informed_field_at, member_means, replicator_field_at
+from coaldyn.svg import simplex_svg
+from oracles import (information_cost_at, informed_field_at, member_means, replicator_field_at,
+                     shade_dots)
 
 BASE = """
 [game]
@@ -196,6 +199,13 @@ def test_missing_file_is_a_config_error(tmp_path):
         load_config(tmp_path / "nope.cfg")
 
 
+def test_experiment_keys_name_the_config_fields_and_the_echo(tmp_path):
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"params", "out_dir", "formats"}
+    fields = {"name" if key == "experiment" else key for key in fields}
+    echo = _config_echo(load_config(write_cfg(tmp_path)))["experiment"]
+    assert fields == _EXPERIMENT_KEYS == set(echo)
+
+
 # --- deterministic emission ---------------------------------------------------
 
 
@@ -223,7 +233,7 @@ def test_write_csv_layout(tmp_path):
 
 
 def test_svg_is_deterministic_and_wellformed():
-    shade = [(0, 0, 0.5), (3, 2, 1.0), (6, 0, 0.25)]
+    shade = (np.array([0, 3, 6]), np.array([0, 2, 0]), np.array([0.5, 1.0, 0.25]))
     arrows = [(2, 2, 0.5, -0.25, 0.6), (4, 1, -0.1, 0.2, 0.2)]
     one = simplex_svg(12, shade=shade, arrows=arrows, label="alpha = 2")
     two = simplex_svg(12, shade=shade, arrows=arrows, label="alpha = 2")
@@ -232,16 +242,21 @@ def test_svg_is_deterministic_and_wellformed():
     assert "alpha = 2" in one
 
 
-def test_dot_prefixes_follow_point_arithmetic():
+def test_shade_dots_match_the_per_state_oracle():
     for z in (12, 60):
-        radius = _f(min(9.0, max(2.2, 380.0 / z)))
-        want = []
-        for i_c in range(z + 1):
-            for i_d in range(z + 1 - i_c):
-                px, py = _point(i_c, i_d, z)
-                want.append(f'<circle cx="{_f(px)}" cy="{_f(py)}" r="{radius}" '
-                            'fill="#1f2430" fill-opacity="')
-        assert list(_dot_prefixes(z)) == want
+        index = StateIndex.for_population(z)
+        values = np.random.default_rng(z).random(index.n_states)
+        values[::3] = 0.0
+        values[1::7] *= 1e-6  # opacity below the 0.004 cut
+        values[2] = 1.0  # the largest value, so that
+        values[4] = 0.004 ** 2  # this state's opacity is 0.004 exactly, and it is drawn
+        base = simplex_svg(z, label="pi").splitlines()
+        got = simplex_svg(z, label="pi", shade=(index.i_c_of, index.i_d_of, values))
+        triples = list(zip(index.i_c_of.tolist(), index.i_d_of.tolist(), values.tolist()))
+        want = shade_dots(z, triples)
+        assert got.splitlines() == base[:-1] + want + base[-1:]
+        assert want[1].endswith('fill-opacity="0.004"/>') and len(want) < np.count_nonzero(values)
+        assert simplex_svg(z, label="pi", shade=triples) == got
 
 
 def test_state_prefix_is_the_text_of_the_state_columns():
@@ -721,6 +736,27 @@ def test_cli_reducible_chain_is_a_config_error(tmp_path, capsys, mu, reason):
     assert code == 2
     assert captured.err.startswith("error: config:")
     assert reason in captured.err
+
+
+@pytest.mark.parametrize("changes, key", [
+    ((("name = stationary", "name = sweep-alpha"), ("values = 1, 2", "values = 0.5")), "'values'"),
+    ((("name = stationary", "name = k-profile"), ("values = 1, 2", "values = 0.5")), "'values'"),
+    ((("name = stationary", "name = s1-compare\nz_pair = 100 20"), ("z = 12", "z = 100"),
+      ("g_m_seats = 2", "g_m = 0.05")), "'z_pair'"),  # z * g_m = 1 at z = 20
+    ((("name = stationary", "name = field"), ("z = 12", "z = 20"),
+      ("kind = sigmoid\namplitude = 100\nsteepness = 100\nthreshold = 0.75",
+       "kind = tabulated\nknots = knots.csv")), "'knots'"),  # knots stop at 5, pools reach 20
+], ids=["sweep-alpha", "k-profile", "s1-compare", "tabulated"])
+def test_cli_unusable_parameter_sets_are_config_errors(tmp_path, capsys, changes, key):
+    (tmp_path / "knots.csv").write_text("C,B\n0,0\n5,10\n")
+    text = BASE
+    for change in changes:
+        text = text.replace(*change)
+    code = main(["run", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: config: ") and key in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_s1_compare_two_member_slice_writes_nan(tmp_path, capsys):

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -223,8 +224,15 @@ def test_unknown_mutation_form_rejected():
 
 
 def test_capacity_budget_enforced():
-    with pytest.raises(CapacityError):
-        build_chain(params(40), max_states=100)
+    """z = 2000 has 2 003 001 states, over MAX_STATES; the build fails before allocating them."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="2003001 states"):
+            build_chain(params(2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_fitness_tables_match_pointwise_evaluation():

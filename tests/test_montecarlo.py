@@ -1,5 +1,7 @@
 """Individual-based simulator: determinism, the kernel against its per-step reference, and sanity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,18 +31,24 @@ def test_different_seeds_differ():
     assert not np.array_equal(a.occupancy, b.occupancy)
 
 
-def test_block_size_does_not_change_the_stream():
+def run_in_blocks(monkeypatch, block_steps, *args, **kw):
+    """`monte_carlo` with uniforms drawn ``block_steps`` steps at a time (None keeps the default)."""
+    with monkeypatch.context() as m:
+        if block_steps is not None:
+            m.setattr(markov, "BLOCK_STEPS", block_steps)
+        return monte_carlo(*args, **kw)
+
+
+def test_block_size_does_not_change_the_stream(monkeypatch):
     kw = dict(steps=30_000, seed=9)
-    a = monte_carlo(params(), block_size=30_000, **kw)
-    b = monte_carlo(params(), block_size=1_000, **kw)
-    c = monte_carlo(params(), block_size=7, **kw)
+    a, b, c = (run_in_blocks(monkeypatch, block, params(), **kw) for block in (30_000, 1_000, 7))
     assert np.array_equal(a.occupancy, b.occupancy)
     assert np.array_equal(a.occupancy, c.occupancy)
     assert np.array_equal(a.trajectory, b.trajectory)
     assert np.array_equal(a.trajectory, c.trajectory)
 
 
-# (z, mu, initial, steps, burn_in, block_size, trajectory_samples); None keeps
+# (z, mu, initial, steps, burn_in, BLOCK_STEPS, trajectory_samples); None keeps
 # the default.  Burn-in is 0, inside the first block, or spans several blocks;
 # the strides 19, 1428 and 2857 divide none of the block sizes.
 PARITY_CASES = [
@@ -59,19 +67,17 @@ PARITY_CASES = [
 ]
 
 
-@pytest.mark.parametrize("z, mu, initial, steps, burn_in, block_size, samples", PARITY_CASES)
+@pytest.mark.parametrize("z, mu, initial, steps, burn_in, block_steps, samples", PARITY_CASES)
 def test_interpreted_kernel_matches_per_step_reference(
-        monkeypatch, z, mu, initial, steps, burn_in, block_size, samples):
+        monkeypatch, z, mu, initial, steps, burn_in, block_steps, samples):
     """`_simulate_steps` gives what the per-step `oracles._simulate_block` gives."""
     kw = dict(steps=steps, seed=z + steps, burn_in=burn_in, initial=initial,
               trajectory_samples=samples)
-    if block_size is not None:
-        kw["block_size"] = block_size
     p = params(z, mu=mu)
-    fast = monte_carlo(p, **kw)
+    fast = run_in_blocks(monkeypatch, block_steps, p, **kw)
     with monkeypatch.context() as m:
         m.setattr(markov, "_simulate_steps", _simulate_block)
-        ref = monte_carlo(p, **kw)
+        ref = run_in_blocks(monkeypatch, block_steps, p, **kw)
     assert np.array_equal(fast.occupancy, ref.occupancy)
     assert np.array_equal(fast.trajectory, ref.trajectory)
 
@@ -125,8 +131,10 @@ def test_input_validation():
         monte_carlo(params(), steps=10, seed=1, initial=(1.5, 2))
     with pytest.raises(ValueError, match="trajectory_samples"):
         monte_carlo(params(), steps=10, seed=1, trajectory_samples=-5)
-    with pytest.raises(CapacityError):
-        monte_carlo(params(z=40), steps=10, seed=1, max_states=50)
-    for block_size in (0, -1):
-        with pytest.raises(ValueError, match="block_size must be >= 1"):
-            monte_carlo(params(), steps=10, seed=1, block_size=block_size)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="2003001 states"):  # over MAX_STATES
+            monte_carlo(params(z=2000), steps=10, seed=1)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20  # raised before the states were allocated
+    finally:
+        tracemalloc.stop()
