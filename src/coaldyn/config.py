@@ -111,23 +111,21 @@ class ExperimentConfig:
         # Build every parameter set the run will use, so that a bad one is a
         # ConfigError here and not a ValueError partway through the run.
         used = [self.params]
-        if self.experiment in ("sweep-alpha", "k-profile", "s1-compare"):
-            used = self._replacing("values", [{"alpha": a} for a in self.values])
-        if self.experiment == "s1-compare":
-            used = self._replacing("z_pair", [{"z": z, "alpha": a} for z in self.z_pair for a in self.values])
+        try:
+            if self.experiment in ("sweep-alpha", "k-profile", "s1-compare"):
+                key = "values"
+                used = [replace(self.params, alpha=a) for a in self.values]
+            if self.experiment == "s1-compare":
+                key = "z_pair"
+                used = [replace(p, z=z) for z in self.z_pair for p in used]
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r} in [experiment]: {exc}") from None
         top = max(p.z for p in used) * self.params.c
         try:
             for total in (0.0, top):
                 self.params.benefit(total, top)
         except ValueError as exc:
             raise ConfigError(f"key 'knots' in [benefit] must cover pools 0 to z*c = {top:g}: {exc}") from None
-
-    def _replacing(self, key: str, changes: list[dict]) -> list[GameParams]:
-        """[game]'s parameters with each of the changes that `key` asks for."""
-        try:
-            return [replace(self.params, **change) for change in changes]
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r} in [experiment]: {exc}") from None
 
 
 def _section(cp: configparser.ConfigParser, name: str) -> dict[str, str]:

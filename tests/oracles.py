@@ -7,8 +7,9 @@ enumeration where the engine uses a formula (group sampling),
 textbook closed forms for solver validation (birth-death chains,
 repeated squaring), a step-by-step loop for the Monte Carlo
 kernel, the SVG shade dots one state at a time, and the flow quantities
-one state at a time, from a fitness callable the test passes in.  None of it imports from coaldyn except
-the parameter container, so agreement is evidence and not tautology.
+one state at a time, from a fitness callable the test passes in.  None
+of it imports from coaldyn except the parameter container, so agreement
+is evidence and not tautology.
 """
 
 from __future__ import annotations

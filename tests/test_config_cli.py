@@ -17,11 +17,10 @@ import pytest
 import coaldyn
 from coaldyn import ConfigError, NonConvergenceError, classify_state, marginal_gains
 from coaldyn.cli import main
-from coaldyn.config import ExperimentConfig, load_config
+from coaldyn.config import _EXPERIMENT_KEYS, ExperimentConfig, load_config
 from coaldyn.game import effective_shares, group_size
 from coaldyn.informed import informed_field_grid
 from coaldyn.replicator import BLOCK_ROWS, replicator_field_grid
-from coaldyn.config import _EXPERIMENT_KEYS
 from coaldyn.experiments import (_config_echo, _json_safe, _matched_members, _state_text,
                                  run_experiment, write_csv)
 from coaldyn.sampling import FitnessTable, fitness_at, fitness_table

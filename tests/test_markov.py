@@ -229,10 +229,9 @@ def test_capacity_budget_enforced():
     try:
         with pytest.raises(CapacityError, match="2003001 states"):
             build_chain(params(2000))
-        peak = tracemalloc.get_traced_memory()[1]
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
 
 
 def test_fitness_tables_match_pointwise_evaluation():
