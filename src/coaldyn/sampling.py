@@ -85,7 +85,8 @@ def _hypergeom_rows(pool: int, draws: int, successes: np.ndarray) -> np.ndarray:
     (pool - s - draws + k)!, depend on (s, k) only through d = s - k.  Row
     pool - s of a sliding window over a 1-D table in d holds them for k =
     0..draws, with +inf off the support, so impossible counts come out as
-    exact zeros.  The grid is updated in place.
+    exact zeros.  Rows are divided by their sums: log j! rounding near pool
+    500 leaves a sum up to ~1e-12 off 1.  The grid is updated in place.
     """
     log_fact = _log_factorials(1 << (pool + 1).bit_length())  # log_fact[j] = log j!
     s = np.asarray(successes)
@@ -100,7 +101,9 @@ def _hypergeom_rows(pool: int, draws: int, successes: np.ndarray) -> np.ndarray:
     log_p -= log_fact[draws - k]
     log_p -= left
     log_p -= log_fact[pool] - log_fact[draws] - log_fact[pool - draws]
-    return np.exp(log_p, out=log_p)
+    np.exp(log_p, out=log_p)
+    log_p /= log_p.sum(axis=1, keepdims=True)
+    return log_p
 
 
 def pmf_row(pool: int, draws: int, successes: int) -> np.ndarray:

@@ -136,7 +136,7 @@ def pmf_row_formula(pool: int, draws: int, successes: int) -> np.ndarray:
 
     The per-row formula the engine used before it built whole levels at
     once; exact zeros off the support.  log j! is the log of the exact
-    integer j!, as in the engine.
+    integer j!, and the row is divided by its sum, as in the engine.
     """
     out = np.zeros(draws + 1)
     lo = max(0, draws - (pool - successes))
@@ -153,6 +153,7 @@ def pmf_row_formula(pool: int, draws: int, successes: int) -> np.ndarray:
             - (_log_factorial(pool) - _log_factorial(draws) - _log_factorial(pool - draws))
         )
         out[lo : hi + 1] = np.exp(log_p)
+        out /= out.sum()
     return out
 
 
