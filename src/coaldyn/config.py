@@ -120,6 +120,9 @@ class ExperimentConfig:
                 used = [replace(p, z=z) for z in self.z_pair for p in used]
         except ValueError as exc:
             raise ConfigError(f"key {key!r} in [experiment]: {exc}") from None
+        if self.group_size > min(self.z_pair):
+            raise ConfigError(f"key 'group_size' in [experiment]: group size {self.group_size} "
+                              f"exceeds the population z={min(self.z_pair)}")
         top = max(p.z for p in used) * self.params.c
         try:
             for total in (0.0, top):

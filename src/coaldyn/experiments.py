@@ -23,9 +23,12 @@ and 51.3 MB at z = 400 (README).
 
 `sweep-alpha` builds, solves and writes each panel in a worker process,
 up to min(panels, usable CPUs) of them at once, and collects the panels in
-alpha order, so no output depends on the worker count.  Each run finishes by
-writing ``manifest.json`` with the resolved configuration, package version,
-and a checksum per output file.
+alpha order, so no output depends on the worker count.  Its pool is
+`markov._process_pool`, the one `monte_carlo` runs its segments in: forked
+where the platform can fork, sized from the CPU affinity mask
+(`markov._usable_cpus`), and imported only when a run starts one.  Each
+run finishes by writing ``manifest.json`` with the resolved configuration,
+package version, and a checksum per output file.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -46,14 +48,13 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .errors import ConfigError
 from .game import GameParams, effective_shares, group_size
 from .informed import gains_on_grid, informed_field_grid
 # Not called here, but perfbench/tracing.py wraps these six names on this module:
 # replicator_field, information_cost, mean_return, informed_field, marginal_gains, classify_state.
 from .informed import classify_state, informed_field, marginal_gains  # noqa: F401
-from .markov import (StateIndex, _check_capacity, _summarize, build_chain, monte_carlo,
-                     selection_gradient, stationary)
+from .markov import (StateIndex, _check_capacity, _process_pool, _summarize, _usable_cpus,
+                     build_chain, monte_carlo, selection_gradient, stationary)
 from .replicator import _row_blocks, find_fixed_points, flow_field, replicator_field_grid
 from .replicator import information_cost, mean_return, replicator_field  # noqa: F401
 from .sampling import _means_at
@@ -299,17 +300,12 @@ def _run_stationary(cfg: ExperimentConfig) -> list[Path]:
 def _run_sweep_alpha(cfg: ExperimentConfig) -> list[Path]:
     """One panel per alpha in a pool of min(panels, usable CPUs) worker processes.
 
-    Forked workers inherit the imported package and the state text, formatted
-    here once for every panel; spawned ones would import and format both again.
+    The state text is formatted here once for every panel, before the pool
+    forks (`markov._process_pool`).
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     _check_capacity(cfg.params.z)  # an oversized sweep fails before its state text is formatted
     _state_text(cfg.params.z)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    start = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    pool = ProcessPoolExecutor(min(len(cfg.values), cpus), mp_context=multiprocessing.get_context(start))
+    pool = _process_pool(min(len(cfg.values), _usable_cpus()))
     try:
         results = list(pool.map(
             _stationary_outputs, repeat(cfg),
@@ -440,10 +436,6 @@ def _matched_members(params: GameParams, target: int) -> int:
     so an exact match is not guaranteed; the achieved size is emitted in the
     N column for transparency.
     """
-    if target > params.z:
-        raise ConfigError(
-            f"group size {target} exceeds the population z={params.z}"
-        )
     best_i_m = 2
     best_err = abs(group_size(params, 2) - target)
     for i_m in range(3, params.z + 1):

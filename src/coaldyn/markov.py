@@ -31,6 +31,7 @@ induces.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -596,6 +597,105 @@ def _simulate_steps(u: np.ndarray, i_c: int, i_d: int, z: int, mu: float,
 
 
 BLOCK_STEPS = 1 << 13  # `monte_carlo` draws uniforms for this many steps at a time
+# Shortest `monte_carlo` segment worth a worker process: about 0.1 s of steps at z = 100,
+# against some 20 ms to start a worker and some 3 * 10**4 steps for its guessed path to meet.
+SEGMENT_STEPS = 1 << 18
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _process_pool(workers: int):
+    """A `ProcessPoolExecutor` of ``workers`` processes, forked where the platform can fork.
+
+    Forked workers inherit the caller's imported modules and memos (the
+    fitness table, the state text); spawned ones would import and build them
+    again.  The pool's modules are imported here, so importing coaldyn loads
+    neither `multiprocessing` nor `concurrent`.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    start = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(start))
+
+
+def _stream(seed: int, step: int) -> np.random.Generator:
+    """The run's uniform stream, positioned at ``step``: four draws a step."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rng.bit_generator.advance(4 * step)
+    return rng
+
+
+def _stepper(params: GameParams, index: StateIndex, seed: int, burn_in: int, stride: int,
+             n_traj: int):
+    """`_simulate_steps` with one run's fixed arguments bound, as a generator of blocks.
+
+    ``blocks(i_c, i_d, start, stop, counts, traj)`` takes steps [start, stop)
+    from (i_c, i_d) on the run's stream, `BLOCK_STEPS` steps' uniforms at a
+    time, and yields (i_c, i_d, step) at each block end.
+    """
+    z, mu = params.z, params.mu
+    offsets = np.asarray(index.offsets)
+    fermi = _fermi_table(params, fitness_tables(params, index))
+    fermi = [fermi[o:o + z + 1 - k].tolist() for k, o in enumerate(offsets.tolist())]
+    pair_move = PAIR_TO_MOVE.tolist()
+
+    def blocks(i_c, i_d, start, stop, counts, traj):
+        rng = _stream(seed, start)
+        step = start
+        while step < stop:
+            u = rng.random((min(BLOCK_STEPS, stop - step), 4))
+            i_c, i_d, step = _simulate_steps(u, i_c, i_d, z, mu, fermi, pair_move, offsets,
+                                             counts, step, burn_in, stride, traj, n_traj)
+            yield i_c, i_d, step
+    return blocks
+
+
+def _guessed_segment(params: GameParams, seed: int, start: int, stop: int, guess: tuple[int, int],
+                     burn_in: int, stride: int, n_traj: int):
+    """Steps [start, stop) of a `monte_carlo` run from a guessed state, in a worker process.
+
+    Returns the segment's occupancy counts, the trajectory with the
+    segment's rows filled, and the (i_c, i_d, step) at each block end.
+    """
+    index = StateIndex.for_population(params.z)
+    counts = np.zeros(index.n_states, dtype=np.int64)
+    traj = np.zeros((n_traj, 3), dtype=np.int64)
+    blocks = _stepper(params, index, seed, burn_in, stride, n_traj)
+    ends = list(blocks(*guess, start, stop, counts, traj))
+    return counts, traj, ends
+
+
+def _splice(blocks, state: tuple[int, int], guess: tuple[int, int], start: int, stop: int,
+            guessed, counts: np.ndarray, traj: np.ndarray) -> tuple[int, int]:
+    """Run segment [start, stop) from its true start ``state`` until it meets the guessed path.
+
+    ``guessed`` is what `_guessed_segment` returned from ``guess``.  Both
+    paths read the same uniforms, so once they hold the same state at a
+    block end they stay together, and from there the worker's path is the
+    true one: its counts, less its guessed prefix (replayed here), and its
+    trajectory rows past that step are taken in.  If the paths do not meet
+    before ``stop``, the segment has run here in full.  Returns the true
+    state at ``stop``.
+    """
+    w_counts, w_traj, ends = guessed
+    for mine, theirs in zip(blocks(*state, start, stop, counts, traj), ends):
+        if mine == theirs:
+            break
+    i_c, i_d, met = mine
+    if met == stop:
+        return i_c, i_d
+    prefix = np.zeros_like(counts)
+    for _ in blocks(*guess, start, met, prefix, np.empty_like(traj)):
+        pass
+    counts += w_counts
+    counts -= prefix
+    later = w_traj[:, 0] >= met  # rows the worker did not fill read step 0
+    traj[later] = w_traj[later]
+    return ends[-1][:2]
 
 
 @dataclass(frozen=True)
@@ -615,15 +715,28 @@ def monte_carlo(params: GameParams, steps: int, seed: int, *, burn_in: int = 0,
                 trajectory_samples: int = 512) -> MonteCarloResult:
     """Individual-based simulation of the update process (scaled form).
 
-    Pre-draws uniforms in blocks of `BLOCK_STEPS` steps, four per step, and
-    hands each block to `_simulate_steps`, so the consumed stream, and with
-    it the result, is a pure function of ``seed`` whatever the block size.
-    A block's uniforms and per-step lists are the simulation's largest
-    temporaries: 2**13 steps hold about 0.6 MB less at the peak than 2**14
-    at z = 100, with no time difference above the run-to-run noise.
+    Step t reads uniforms 4t to 4t + 3 of one PCG64 stream seeded by
+    ``seed``, drawn `BLOCK_STEPS` steps at a time and handed a block at a
+    time to `_simulate_steps`.  A block's uniforms and per-step lists are
+    the simulation's largest temporaries: 2**13 steps hold about 0.6 MB
+    less at the peak than 2**14 at z = 100, with no time difference above
+    the run-to-run noise.
+
+    The steps are split into one segment per usable CPU, each at least
+    `SEGMENT_STEPS` long (one segment below that).  Segment 0 runs here;
+    each later segment runs in a forked worker from the run's own start
+    state as a guess, on its stretch of the stream (`_stream`).  Two copies
+    of the chain fed the same uniforms meet within some 10**4 steps at
+    z = 100, so `_splice` re-runs each segment here from its true start
+    only until it meets the worker's path, and takes the rest from the
+    worker.  Where they never meet, as under ``mu = 0`` when the two are
+    absorbed in different corners, the segment runs here in full.  So the result is a pure function of
+    ``seed``, whatever the block size and the number of CPUs.
+
     Occupancy counts the post-update state of every step past ``burn_in``;
     ``trajectory_samples`` evenly spaced (step, i_c, i_d) rows are kept.
-    Raises CapacityError, as `build_chain` does, over `MAX_STATES` states.
+    Raises CapacityError, as `build_chain` does, over `MAX_STATES` states,
+    before any worker starts.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -645,8 +758,6 @@ def monte_carlo(params: GameParams, steps: int, seed: int, *, burn_in: int = 0,
         if i_c < 0 or i_d < 0 or i_c + i_d > z:
             raise ValueError(f"initial composition {initial} is off the simplex")
 
-    fits = fitness_tables(params, index)
-    fermi = _fermi_table(params, fits)
     counts = np.zeros(index.n_states, dtype=np.int64)
     if trajectory_samples > 0:
         stride = max(1, steps // trajectory_samples)
@@ -655,16 +766,22 @@ def monte_carlo(params: GameParams, steps: int, seed: int, *, burn_in: int = 0,
         stride, n_traj = 0, 0
     traj = np.zeros((n_traj, 3), dtype=np.int64)
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    offsets = np.asarray(index.offsets)
-    fermi = [fermi[o:o + z + 1 - k].tolist() for k, o in enumerate(offsets.tolist())]
-    pair_move = PAIR_TO_MOVE.tolist()
-    step = 0
-    while step < steps:
-        block = min(BLOCK_STEPS, steps - step)
-        u = rng.random((block, 4))
-        i_c, i_d, step = _simulate_steps(u, i_c, i_d, z, params.mu, fermi, pair_move,
-                                         offsets, counts, step, burn_in, stride, traj, n_traj)
+    blocks = _stepper(params, index, seed, burn_in, stride, n_traj)
+    n_seg = max(1, min(_usable_cpus(), steps // SEGMENT_STEPS))
+    bounds = [steps * j // n_seg for j in range(n_seg + 1)]
+    segments = list(zip(bounds, bounds[1:]))
+    guess = (i_c, i_d)
+    pool = _process_pool(n_seg - 1) if n_seg > 1 else None
+    try:
+        guessed = [pool.submit(_guessed_segment, params, seed, start, stop, guess,
+                               burn_in, stride, n_traj) for start, stop in segments[1:]]
+        for i_c, i_d, _ in blocks(i_c, i_d, *segments[0], counts, traj):
+            pass
+        for (start, stop), future in zip(segments[1:], guessed):
+            i_c, i_d = _splice(blocks, (i_c, i_d), guess, start, stop, future.result(), counts, traj)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     occupancy = counts / float(steps - burn_in)
     occupancy.setflags(write=False)

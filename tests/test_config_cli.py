@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import coaldyn
-from coaldyn import ConfigError, NonConvergenceError, classify_state, marginal_gains
+from coaldyn import ConfigError, NonConvergenceError, classify_state, marginal_gains, markov
 from coaldyn.cli import main
 from coaldyn.config import _EXPERIMENT_KEYS, ExperimentConfig, load_config
 from coaldyn.game import effective_shares, group_size
@@ -650,13 +650,8 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity masks")
-def test_sweep_outputs_do_not_depend_on_the_worker_count(tmp_path):
-    """A sweep held to one CPU, so to one worker process, writes the bytes of one on every CPU."""
-    text = BASE.replace("name = stationary", "name = sweep-alpha").replace(
-        "values = 1, 2", "values = 1, 2, 4").replace("formats = csv, json", "formats = csv, json, svg")
-    path = write_cfg(tmp_path, text)
-    code = """
+# Runs a config (argv[1]) into argv[2], held to one CPU when argv[3] is "one".
+ON_CPUS = """
 import multiprocessing, os, sys
 from coaldyn.config import load_config
 from coaldyn.experiments import run_experiment
@@ -665,16 +660,42 @@ if sys.argv[3] == "one":
 run_experiment(load_config(sys.argv[1], out_dir=sys.argv[2]))
 assert not multiprocessing.active_children()
 """
+
+
+def outputs_on_one_and_every_cpu(tmp_path, text):
+    """Run a config held to one CPU and on every CPU; both must write the same bytes."""
+    path = write_cfg(tmp_path, text)
     src = str(Path(coaldyn.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for cpus in ("one", "all"):
-        subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / cpus), cpus],
+        subprocess.run([sys.executable, "-c", ON_CPUS, str(path), str(tmp_path / cpus), cpus],
                        env=env, check=True, timeout=120)
     one, every = (json.loads((tmp_path / cpus / "manifest.json").read_text())["outputs"]
                   for cpus in ("one", "all"))
-    assert one == every and len(one) == 3 * 3 + 1  # three files a panel, then sweep_summary.json
+    assert one == every
     for name in one:
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+    return one
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity masks")
+def test_sweep_outputs_do_not_depend_on_the_worker_count(tmp_path):
+    """A sweep held to one CPU, so to one worker process, writes the bytes of one on every CPU."""
+    text = BASE.replace("name = stationary", "name = sweep-alpha").replace(
+        "values = 1, 2", "values = 1, 2, 4").replace("formats = csv, json", "formats = csv, json, svg")
+    outputs = outputs_on_one_and_every_cpu(tmp_path, text)
+    assert len(outputs) == 3 * 3 + 1  # three files a panel, then sweep_summary.json
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity masks")
+def test_montecarlo_outputs_do_not_depend_on_the_worker_count(tmp_path):
+    """A simulation held to one CPU, so to one segment, writes the bytes of one split
+    into a segment per CPU."""
+    text = BASE.replace("name = stationary", "name = montecarlo").replace(
+        "steps = 2000", f"steps = {2 * markov.SEGMENT_STEPS + 12_345}\nburn_in = 1000").replace(
+        "formats = csv, json", "formats = csv, json, svg")
+    outputs = outputs_on_one_and_every_cpu(tmp_path, text)
+    assert len(outputs) == 4  # occupancy CSV and SVG, trajectory, summary
 
 
 @pytest.mark.parametrize("change, code, category", [
@@ -755,6 +776,16 @@ def test_cli_unusable_parameter_sets_are_config_errors(tmp_path, capsys, changes
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: config: ") and key in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_group_size_over_a_population_is_a_config_error(tmp_path, capsys):
+    text = (Path(__file__).parents[1] / "scripts" / "configs" / "size_pair.cfg").read_text()
+    path = write_cfg(tmp_path, text.replace("group_size = 25", "group_size = 80"))  # z_pair 100 50
+    with pytest.raises(ConfigError, match="group size 80 exceeds the population z=50"):
+        load_config(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: config: key 'group_size'")
     assert not (tmp_path / "out").exists()
 
 

@@ -1,5 +1,6 @@
 """Individual-based simulator: determinism, the kernel against its per-step reference, and sanity."""
 
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -80,6 +81,76 @@ def test_interpreted_kernel_matches_per_step_reference(
         ref = run_in_blocks(monkeypatch, block_steps, p, **kw)
     assert np.array_equal(fast.occupancy, ref.occupancy)
     assert np.array_equal(fast.trajectory, ref.trajectory)
+
+
+def run_in_segments(monkeypatch, segments, block_steps, *args, **kw):
+    """`monte_carlo` split into ``segments`` segments, and the steps at which
+    the caller started a stream past its first segment: each later segment's
+    re-run, then its guessed prefix's replay if it met the worker's path."""
+    started = []
+    stream = markov._stream
+
+    def spy(seed, step):
+        started.append(step)
+        return stream(seed, step)
+
+    with monkeypatch.context() as m:
+        m.setattr(markov, "SEGMENT_STEPS", 1_000)
+        m.setattr(markov, "_usable_cpus", lambda: segments)
+        m.setattr(markov, "_stream", spy)
+        result = run_in_blocks(monkeypatch, block_steps, *args, **kw)
+    assert started[0] == 0
+    return result, started[1:]
+
+
+# (z, mu, initial, steps, burn_in, BLOCK_STEPS, trajectory_samples, seed, meets).
+# Burn-in crosses a segment boundary; the stride 4285 divides no segment nor
+# block; no trajectory; without mutation, from one cooperator among outsiders,
+# each path is absorbed in a corner and the guessed one never meets the true
+# one, so every segment runs in full in the caller.
+SEGMENT_CASES = [
+    (20, 0.05, None, 40_000, 25_000, 333, 512, 1, True),
+    (30, 0.05, (0, 30), 30_000, 100, 333, 7, 2, True),
+    (12, 0.05, (12, 0), 30_000, 0, None, 0, 3, True),
+    (12, 0.0, (1, 0), 12_000, 0, 333, 512, 5, False),
+]
+
+
+@pytest.mark.parametrize("segments", [2, 3])
+@pytest.mark.parametrize("z, mu, initial, steps, burn_in, block_steps, samples, seed, meets",
+                         SEGMENT_CASES)
+def test_segments_give_the_one_segment_run(
+        monkeypatch, segments, z, mu, initial, steps, burn_in, block_steps, samples, seed, meets):
+    """Segments spliced in once they meet the true path, or run in full where they never
+    do, give the one-segment run and the per-step `oracles._simulate_block` bit for bit."""
+    kw = dict(steps=steps, seed=seed, burn_in=burn_in, initial=initial, trajectory_samples=samples)
+    p = params(z, mu=mu)
+    split, started = run_in_segments(monkeypatch, segments, block_steps, p, **kw)
+    one = run_in_blocks(monkeypatch, block_steps, p, **kw)
+    with monkeypatch.context() as m:
+        m.setattr(markov, "_simulate_steps", _simulate_block)
+        ref = run_in_blocks(monkeypatch, block_steps, p, **kw)
+    starts = [steps * j // segments for j in range(1, segments)]
+    assert started == [start for start in starts for _ in range(1 + meets)]
+    for other in (one, ref):
+        assert np.array_equal(split.occupancy, other.occupancy)
+        assert np.array_equal(split.trajectory, other.trajectory)
+    assert not multiprocessing.active_children()
+
+
+class SegmentFailed(RuntimeError):
+    pass
+
+
+def fail_segment(*args):
+    raise SegmentFailed("raised in a worker")
+
+
+def test_a_worker_error_reaches_the_caller_with_its_type(monkeypatch):
+    monkeypatch.setattr(markov, "_guessed_segment", fail_segment)
+    with pytest.raises(SegmentFailed, match="raised in a worker"):
+        run_in_segments(monkeypatch, 2, None, params(), steps=4_000, seed=1)
+    assert not multiprocessing.active_children()
 
 
 def test_occupancy_is_a_distribution():
