@@ -26,7 +26,8 @@ if _threads:
 del _os, _threads
 
 from .benefits import BenefitFunction
-from .errors import CapacityError, CoaldynError, ConfigError, NonConvergenceError, ReducibleChainError
+from .errors import (CapacityError, CoaldynError, ConfigError, NonConvergenceError, ReducibleChainError,
+                     WorkerError)
 from .game import (
     EffectiveShares,
     GameParams,
@@ -90,6 +91,7 @@ __all__ = [
     "StateIndex",
     "StationaryResult",
     "StationarySummary",
+    "WorkerError",
     "build_chain",
     "classify_state",
     "effective_shares",

@@ -1,8 +1,9 @@
 """Command-line entry point: ``coaldyn run <config> [overrides]``.
 
 Exit codes: 0 success, 2 configuration problems (a ``mu`` that leaves the
-chain reducible among them), 3 capacity limits, 4 solver non-convergence.
-Each failure prints a single machine-parsable line
+chain reducible among them), 3 capacity limits, 4 solver non-convergence,
+5 a child process (a sweep panel or simulator segment) that failed to start
+or to send a result.  Each failure prints a single machine-parsable line
 ``error: <category>: <reason>`` to stderr.
 """
 
@@ -38,7 +39,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     from .config import load_config
-    from .errors import CapacityError, ConfigError, NonConvergenceError, ReducibleChainError
+    from .errors import CapacityError, ConfigError, NonConvergenceError, ReducibleChainError, WorkerError
     from .experiments import run_experiment
 
     formats = None
@@ -62,6 +63,9 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"error: nonconvergence: {exc}", file=sys.stderr)
         return 4
+    except WorkerError as exc:
+        print(f"error: worker: {exc}", file=sys.stderr)
+        return 5
     print(f"wrote {len(manifest.outputs)} outputs and manifest.json to {cfg.out_dir}")
     return 0
 

@@ -27,3 +27,7 @@ class NonConvergenceError(CoaldynError):
 
 class ReducibleChainError(CoaldynError, ValueError):
     """The chain is not irreducible, so it has no unique stationary law."""
+
+
+class WorkerError(CoaldynError):
+    """A child process could not start, ended without a result, or raised an unpicklable exception."""

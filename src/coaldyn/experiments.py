@@ -21,14 +21,13 @@ plus an 8-byte offset (0.74 and 3.1 MB).  One `field` run peaked at
 44.5 MB with whole columns and 39.9 MB in blocks at z = 200, and at 75.4
 and 51.3 MB at z = 400 (README).
 
-`sweep-alpha` builds, solves and writes each panel in a worker process,
-up to min(panels, usable CPUs) of them at once, and collects the panels in
-alpha order, so no output depends on the worker count.  Its pool is
-`markov._process_pool`, the one `monte_carlo` runs its segments in: forked
-where the platform can fork, sized from the CPU affinity mask
-(`markov._usable_cpus`), and imported only when a run starts one.  Each
-run finishes by writing ``manifest.json`` with the resolved configuration,
-package version, and a checksum per output file.
+`sweep-alpha` builds, solves and writes its panels in min(panels, usable
+CPUs) child processes forked by `markov._children`, the helper whose children
+run `monte_carlo`'s segments, and puts them back in alpha order, so no output
+depends on the child count.  With one usable CPU, or where the platform
+cannot fork (`markov._usable_cpus` then reports one), the panels run in the
+calling process.  Each run finishes by writing ``manifest.json`` with the
+resolved configuration, package version, and a checksum per output file.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from .informed import gains_on_grid, informed_field_grid
 # Not called here, but perfbench/tracing.py wraps these six names on this module:
 # replicator_field, information_cost, mean_return, informed_field, marginal_gains, classify_state.
 from .informed import classify_state, informed_field, marginal_gains  # noqa: F401
-from .markov import (StateIndex, _check_capacity, _process_pool, _summarize, _usable_cpus,
+from .markov import (StateIndex, _check_capacity, _children, _summarize, _usable_cpus,
                      build_chain, monte_carlo, selection_gradient, stationary)
 from .replicator import _row_blocks, find_fixed_points, flow_field, replicator_field_grid
 from .replicator import information_cost, mean_return, replicator_field  # noqa: F401
@@ -298,22 +297,25 @@ def _run_stationary(cfg: ExperimentConfig) -> list[Path]:
 
 
 def _run_sweep_alpha(cfg: ExperimentConfig) -> list[Path]:
-    """One panel per alpha in a pool of min(panels, usable CPUs) worker processes.
+    """One panel per alpha, in n = min(panels, usable CPUs) forked children, child j
+    running panels j, j + n, ...; with one CPU the panels run here, with no fork.
 
-    The state text is formatted here once for every panel, before the pool
-    forks (`markov._process_pool`).
+    The state text is formatted here once for every panel, before the children
+    fork (`markov._children`).
     """
     _check_capacity(cfg.params.z)  # an oversized sweep fails before its state text is formatted
     _state_text(cfg.params.z)
-    pool = _process_pool(min(len(cfg.values), _usable_cpus()))
-    try:
-        results = list(pool.map(
-            _stationary_outputs, repeat(cfg),
-            [dataclasses.replace(cfg.params, alpha=alpha) for alpha in cfg.values],
-            [f"_alpha{_alpha_tag(alpha)}" for alpha in cfg.values], repeat(True)))
-    finally:
-        # After a failed panel, panels not yet started are dropped, not run.
-        pool.shutdown(cancel_futures=True)
+    jobs = [(dataclasses.replace(cfg.params, alpha=alpha), f"_alpha{_alpha_tag(alpha)}")
+            for alpha in cfg.values]
+
+    def run(share):
+        return [_stationary_outputs(cfg, params, tag, True) for params, tag in share]
+
+    n = min(len(jobs), _usable_cpus())
+    with _children() as fork:  # after a failed panel, leaving it kills the children still running
+        waits = [fork(run, jobs[j::n]) for j in range(n)] if n > 1 else [lambda: run(jobs)]
+        shares = [wait() for wait in waits]
+    results = [shares[i % n][i // n] for i in range(len(jobs))]
     written = [path for paths, _ in results for path in paths]
     panels = [summary for _, summary in results]
     if "json" in cfg.formats:

@@ -32,13 +32,16 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .benefits import expit
-from .errors import CapacityError, NonConvergenceError, ReducibleChainError
+from .errors import CapacityError, NonConvergenceError, ReducibleChainError, WorkerError
 from .game import GameParams
 from .sampling import fitness_table
 
@@ -597,29 +600,75 @@ def _simulate_steps(u: np.ndarray, i_c: int, i_d: int, z: int, mu: float,
 
 
 BLOCK_STEPS = 1 << 13  # `monte_carlo` draws uniforms for this many steps at a time
-# Shortest `monte_carlo` segment worth a worker process: about 0.1 s of steps at z = 100,
-# against some 20 ms to start a worker and some 3 * 10**4 steps for its guessed path to meet.
+# Shortest `monte_carlo` segment worth a child process: about 0.1 s of steps at z = 100, against
+# 3-5 ms to fork a child and read its result and some 3 * 10**4 steps for its guess to meet.
 SEGMENT_STEPS = 1 << 18
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has one."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    """CPUs this process may run on: its affinity mask where the platform has one, 1 without fork."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return cpus if hasattr(os, "fork") else 1
 
 
-def _process_pool(workers: int):
-    """A `ProcessPoolExecutor` of ``workers`` processes, forked where the platform can fork.
+@contextmanager
+def _children():
+    """Yields ``fork(fn, *args)``: it calls ``fn(*args)`` in a forked child and returns
+    a function that waits for the child and returns or raises what it sent.
 
-    Forked workers inherit the caller's imported modules and memos (the
-    fitness table, the state text); spawned ones would import and build them
-    again.  The pool's modules are imported here, so importing coaldyn loads
-    neither `multiprocessing` nor `concurrent`.
+    Each child pickles its result or exception down its own pipe, which is read to
+    EOF before the child is reaped (a child blocked on a full pipe never exits).  A
+    fork that fails, a child that ends without a result, or one whose exception
+    cannot be pickled raises `WorkerError`.  Leaving the block kills and reaps every
+    child not yet collected.  Children inherit the caller's modules and memos (the
+    fitness table, the state text), which spawned processes would build again.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    pipes = {}
 
-    start = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(start))
+    def fork(fn, *args):
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError as exc:  # say, a process limit reached
+            os.close(r)
+            os.close(w)
+            raise WorkerError(f"cannot fork a child process: {exc}") from exc
+        if pid == 0:
+            try:
+                try:
+                    data = pickle.dumps((True, fn(*args)))
+                except BaseException as exc:  # sent to the caller, which raises it
+                    try:
+                        data = pickle.dumps((False, exc))
+                        pickle.loads(data)  # some exceptions pickle but cannot be rebuilt
+                    except Exception:
+                        data = pickle.dumps((False, WorkerError(f"{type(exc).__name__}: {exc}")))
+                with open(w, "wb") as fh:
+                    fh.write(data)
+                os._exit(0)
+            finally:  # whatever happens, the child never returns into the caller's code
+                os._exit(1)
+        os.close(w)
+        pipes[pid] = open(r, "rb")
+
+        def result():
+            with pipes.pop(pid) as fh:
+                data = fh.read()
+            if code := os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
+                how = f"exit code {code}" if code > 0 else f"killed by signal {-code} ({signal.strsignal(-code)})"
+                raise WorkerError(f"child process {pid} ended without a result ({how})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            return value
+        return result
+    try:
+        yield fork
+    finally:
+        for pid, fh in pipes.items():
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _stream(seed: int, step: int) -> np.random.Generator:
@@ -654,32 +703,17 @@ def _stepper(params: GameParams, index: StateIndex, seed: int, burn_in: int, str
     return blocks
 
 
-def _guessed_segment(params: GameParams, seed: int, start: int, stop: int, guess: tuple[int, int],
-                     burn_in: int, stride: int, n_traj: int):
-    """Steps [start, stop) of a `monte_carlo` run from a guessed state, in a worker process.
-
-    Returns the segment's occupancy counts, the trajectory with the
-    segment's rows filled, and the (i_c, i_d, step) at each block end.
-    """
-    index = StateIndex.for_population(params.z)
-    counts = np.zeros(index.n_states, dtype=np.int64)
-    traj = np.zeros((n_traj, 3), dtype=np.int64)
-    blocks = _stepper(params, index, seed, burn_in, stride, n_traj)
-    ends = list(blocks(*guess, start, stop, counts, traj))
-    return counts, traj, ends
-
-
 def _splice(blocks, state: tuple[int, int], guess: tuple[int, int], start: int, stop: int,
             guessed, counts: np.ndarray, traj: np.ndarray) -> tuple[int, int]:
     """Run segment [start, stop) from its true start ``state`` until it meets the guessed path.
 
-    ``guessed`` is what `_guessed_segment` returned from ``guess``.  Both
-    paths read the same uniforms, so once they hold the same state at a
-    block end they stay together, and from there the worker's path is the
-    true one: its counts, less its guessed prefix (replayed here), and its
-    trajectory rows past that step are taken in.  If the paths do not meet
-    before ``stop``, the segment has run here in full.  Returns the true
-    state at ``stop``.
+    ``guessed`` is the segment run from ``guess`` in a child: its counts,
+    trajectory and (i_c, i_d, step) at each block end.  Both paths read the
+    same uniforms, so once they hold the same state at a block end they stay
+    together, and from there the child's path is the true one: its counts,
+    less its guessed prefix (replayed here), and its trajectory rows past
+    that step are taken in.  If the paths do not meet before ``stop``, the
+    segment has run here in full.  Returns the true state at ``stop``.
     """
     w_counts, w_traj, ends = guessed
     for mine, theirs in zip(blocks(*state, start, stop, counts, traj), ends):
@@ -693,7 +727,7 @@ def _splice(blocks, state: tuple[int, int], guess: tuple[int, int], start: int, 
         pass
     counts += w_counts
     counts -= prefix
-    later = w_traj[:, 0] >= met  # rows the worker did not fill read step 0
+    later = w_traj[:, 0] >= met  # rows the child did not fill read step 0
     traj[later] = w_traj[later]
     return ends[-1][:2]
 
@@ -724,19 +758,20 @@ def monte_carlo(params: GameParams, steps: int, seed: int, *, burn_in: int = 0,
 
     The steps are split into one segment per usable CPU, each at least
     `SEGMENT_STEPS` long (one segment below that).  Segment 0 runs here;
-    each later segment runs in a forked worker from the run's own start
-    state as a guess, on its stretch of the stream (`_stream`).  Two copies
-    of the chain fed the same uniforms meet within some 10**4 steps at
-    z = 100, so `_splice` re-runs each segment here from its true start
-    only until it meets the worker's path, and takes the rest from the
-    worker.  Where they never meet, as under ``mu = 0`` when the two are
-    absorbed in different corners, the segment runs here in full.  So the result is a pure function of
-    ``seed``, whatever the block size and the number of CPUs.
+    each later segment runs in a child (`_children`) from the run's own
+    start state as a guess, on its stretch of the stream (`_stream`).  Two
+    copies of the chain fed the same uniforms meet within some 10**4 steps
+    at z = 100, so `_splice` re-runs each segment here from its true start
+    only until it meets the child's path, and takes the rest from the
+    child.  Where they never meet, as under ``mu = 0`` when the two are
+    absorbed in different corners, the segment runs here in full.  So the
+    result is a pure function of ``seed``, whatever the block size and the
+    number of CPUs.
 
     Occupancy counts the post-update state of every step past ``burn_in``;
     ``trajectory_samples`` evenly spaced (step, i_c, i_d) rows are kept.
     Raises CapacityError, as `build_chain` does, over `MAX_STATES` states,
-    before any worker starts.
+    before any child starts.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -771,17 +806,17 @@ def monte_carlo(params: GameParams, steps: int, seed: int, *, burn_in: int = 0,
     bounds = [steps * j // n_seg for j in range(n_seg + 1)]
     segments = list(zip(bounds, bounds[1:]))
     guess = (i_c, i_d)
-    pool = _process_pool(n_seg - 1) if n_seg > 1 else None
-    try:
-        guessed = [pool.submit(_guessed_segment, params, seed, start, stop, guess,
-                               burn_in, stride, n_traj) for start, stop in segments[1:]]
+
+    def guessed_segment(start, stop):  # steps [start, stop) from the guess, run in a child
+        part = np.zeros_like(counts), np.zeros_like(traj)
+        return *part, list(blocks(*guess, start, stop, *part))
+
+    with _children() as fork:
+        waits = [fork(guessed_segment, start, stop) for start, stop in segments[1:]]
         for i_c, i_d, _ in blocks(i_c, i_d, *segments[0], counts, traj):
             pass
-        for (start, stop), future in zip(segments[1:], guessed):
-            i_c, i_d = _splice(blocks, (i_c, i_d), guess, start, stop, future.result(), counts, traj)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        for (start, stop), wait in zip(segments[1:], waits):
+            i_c, i_d = _splice(blocks, (i_c, i_d), guess, start, stop, wait(), counts, traj)
 
     occupancy = counts / float(steps - burn_in)
     occupancy.setflags(write=False)

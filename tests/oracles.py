@@ -16,9 +16,23 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
+
+def no_child_processes() -> bool:
+    """True if this process has no child at all, running or zombie, by asking the OS.
+
+    ``os.waitpid(-1, WNOHANG)`` raises ChildProcessError only then; it returns
+    (0, 0) for a running child and reaps a zombie, and both read False.
+    """
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
 
 _log_factorial = np.vectorize(lambda n: math.log(math.factorial(n)), otypes=[float])
 

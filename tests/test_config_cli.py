@@ -3,9 +3,9 @@
 import dataclasses
 import json
 import math
-import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import coaldyn
-from coaldyn import ConfigError, NonConvergenceError, classify_state, marginal_gains, markov
+from coaldyn import (CapacityError, CoaldynError, ConfigError, NonConvergenceError, ReducibleChainError,
+                     WorkerError, classify_state, experiments, marginal_gains, markov)
 from coaldyn.cli import main
 from coaldyn.config import _EXPERIMENT_KEYS, ExperimentConfig, load_config
 from coaldyn.game import effective_shares, group_size
@@ -26,8 +27,8 @@ from coaldyn.experiments import (_config_echo, _json_safe, _matched_members, _st
 from coaldyn.sampling import FitnessTable, fitness_at, fitness_table
 from coaldyn.markov import StateIndex, build_chain, monte_carlo, selection_gradient, stationary
 from coaldyn.svg import simplex_svg
-from oracles import (information_cost_at, informed_field_at, member_means, replicator_field_at,
-                     shade_dots)
+from oracles import (information_cost_at, informed_field_at, member_means, no_child_processes,
+                     replicator_field_at, shade_dots)
 
 BASE = """
 [game]
@@ -652,13 +653,17 @@ def test_reruns_are_byte_identical(tmp_path):
 
 # Runs a config (argv[1]) into argv[2], held to one CPU when argv[3] is "one".
 ON_CPUS = """
-import multiprocessing, os, sys
+import os, sys
 from coaldyn.config import load_config
 from coaldyn.experiments import run_experiment
 if sys.argv[3] == "one":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 run_experiment(load_config(sys.argv[1], out_dir=sys.argv[2]))
-assert not multiprocessing.active_children()
+try:
+    os.waitpid(-1, os.WNOHANG)
+    raise AssertionError("a child process was left behind")
+except ChildProcessError:
+    pass
 """
 
 
@@ -680,7 +685,8 @@ def outputs_on_one_and_every_cpu(tmp_path, text):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity masks")
 def test_sweep_outputs_do_not_depend_on_the_worker_count(tmp_path):
-    """A sweep held to one CPU, so to one worker process, writes the bytes of one on every CPU."""
+    """A sweep held to one CPU, so run in the calling process, writes the bytes of one
+    run in a child per CPU."""
     text = BASE.replace("name = stationary", "name = sweep-alpha").replace(
         "values = 1, 2", "values = 1, 2, 4").replace("formats = csv, json", "formats = csv, json, svg")
     outputs = outputs_on_one_and_every_cpu(tmp_path, text)
@@ -699,20 +705,95 @@ def test_montecarlo_outputs_do_not_depend_on_the_worker_count(tmp_path):
 
 
 @pytest.mark.parametrize("change, code, category", [
-    (("mu = 0.05", "mu = 5e-324"), 2, "config"),  # ReducibleChainError, raised in a worker
-    (("z = 12", "z = 2000"), 3, "capacity"),  # CapacityError, raised before the pool starts
+    (("mu = 0.05", "mu = 5e-324"), 2, "config"),  # ReducibleChainError, raised in a child
+    (("z = 12", "z = 2000"), 3, "capacity"),  # CapacityError, raised before any child starts
 ])
-def test_cli_sweep_errors_keep_their_exit_codes(tmp_path, capsys, change, code, category):
+def test_cli_sweep_errors_keep_their_exit_codes(tmp_path, capsys, monkeypatch, change, code, category):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     text = BASE.replace("name = stationary", "name = sweep-alpha").replace(*change)
     assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")]) == code
     assert capsys.readouterr().err.startswith(f"error: {category}:")
-    assert not multiprocessing.active_children()
+    assert no_child_processes()
 
 
-def test_nonconvergence_error_survives_pickling():
-    """A worker's errors reach the parent pickled, and the CLI reads them there."""
-    err = pickle.loads(pickle.dumps(NonConvergenceError("cap hit", residual=2.5e-7, iterations=40)))
-    assert (str(err), err.residual, err.iterations) == ("cap hit", 2.5e-7, 40)
+def test_cli_reports_a_killed_child_as_a_worker_error(tmp_path, capsys, monkeypatch):
+    """A sweep panel that SIGKILLs its own process, as the OOM killer would, exits 5
+    with one error line and no traceback, and leaves no child behind."""
+    caller = os.getpid()
+
+    def killed(*args):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise AssertionError("the panel ran in the calling process")
+    monkeypatch.setattr(experiments, "_stationary_outputs", killed)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    text = BASE.replace("name = stationary", "name = sweep-alpha")
+    assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: worker: ") and f"killed by signal {int(signal.SIGKILL)} " in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert no_child_processes()
+
+
+def test_outputs_without_fork_match_those_with_fork(tmp_path, monkeypatch):
+    """Where the platform cannot fork, a sweep and a simulation run in the calling
+    process and write the bytes of two panels and two segments run in children."""
+    monkeypatch.setattr(markov, "SEGMENT_STEPS", 1_000)  # BASE's 2000 steps make two segments
+    texts = {name: BASE.replace("name = stationary", f"name = {name}")
+             for name in ("sweep-alpha", "montecarlo")}
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    def run(tag):
+        return {name: run_experiment(load_config(write_cfg(tmp_path, text, f"{name}.cfg"),
+                                                 out_dir=tmp_path / tag / name)).outputs
+                for name, text in texts.items()}
+    with monkeypatch.context() as m:
+        m.setattr(os, "fork", counted)
+        m.setattr(markov, "_usable_cpus", lambda: 2)
+        m.setattr(experiments, "_usable_cpus", lambda: 2)
+        forked = run("fork")
+    assert len(forks) == 3  # two sweep panels and one later segment
+    monkeypatch.delattr(os, "fork")
+    assert markov._usable_cpus() == 1
+    assert run("nofork") == forked
+    for name, outputs in forked.items():
+        for file in outputs:
+            assert ((tmp_path / "fork" / name / file).read_bytes()
+                    == (tmp_path / "nofork" / name / file).read_bytes())
+    assert no_child_processes()
+
+
+def typed_errors(cls=CoaldynError):
+    """``cls`` and every subclass of it, however deep."""
+    return {cls}.union(*(typed_errors(sub) for sub in cls.__subclasses__()))
+
+
+TYPED_ERRORS = [
+    CoaldynError("engine failure"),
+    ConfigError("key 'z' in [game]: expected an integer, got 'x'"),
+    CapacityError("population size 2000 needs 2003001 states, over the budget of 2000000"),
+    NonConvergenceError("cap hit", residual=2.5e-7, iterations=40),
+    ReducibleChainError("chain is not strongly connected despite mu = 5e-324 > 0"),
+    WorkerError("child process 7 ended without a result (killed by signal 9 (Killed))"),
+]
+
+
+def test_every_typed_error_is_checked_for_pickling():
+    assert {type(err) for err in TYPED_ERRORS} == typed_errors()
+
+
+@pytest.mark.parametrize("err", TYPED_ERRORS, ids=lambda err: type(err).__name__)
+def test_typed_error_survives_pickling(err):
+    """A child's errors reach the caller pickled, and the CLI reads them there:
+    each keeps its type, message and attributes."""
+    back = pickle.loads(pickle.dumps(err))
+    assert (type(back), str(back), vars(back)) == (type(err), str(err), vars(err))
+    if isinstance(err, NonConvergenceError):
+        assert (back.residual, back.iterations) == (2.5e-7, 40)
 
 
 # --- command line -------------------------------------------------------------

@@ -192,30 +192,65 @@ def test_residual_matches_the_sparse_product(form, mu):
         assert abs(_residual(model, v) - float(np.max(np.abs(t_t @ v - v)))) <= 1e-18
 
 
-def test_default_path_never_imports_scipy():
+SWEEP_CFG = """
+[game]
+z = 12
+g_m_seats = 2
+alpha = 2.0
+beta = 0.1
+mu = 0.05
+
+[benefit]
+kind = sigmoid
+
+[experiment]
+name = sweep-alpha
+values = 1, 2
+
+[output]
+formats = csv, json
+"""
+
+
+def test_default_path_never_imports_scipy(tmp_path):
     """Building, solving, the gradient, the simulator and the flow field run on
     numpy alone; the sparse matrix and the LU oracle still load scipy on demand.
-    The sweep's process pool is imported when a sweep runs, not with the package."""
+    A two-segment simulation and a two-panel sweep fork their children with
+    neither `multiprocessing` nor `concurrent` imported."""
     code = """
-import sys
+import os, sys
 import numpy as np
 import coaldyn.experiments
-assert not [m for m in sys.modules if m.partition(".")[0] in ("multiprocessing", "concurrent")]
+mp = ("multiprocessing", "concurrent")
+assert not [m for m in sys.modules if m.partition(".")[0] in mp]
 from coaldyn import BenefitFunction, GameParams, build_chain, flow_field, monte_carlo, selection_gradient, stationary
+from coaldyn import experiments, markov
+from coaldyn.config import load_config
 p = GameParams(z=20, g_m=0.1, mu=0.01, beta=0.1, alpha=4.0, benefit=BenefitFunction.sigmoid())
 model = build_chain(p)
 levels = stationary(model)
 selection_gradient(model)
 monte_carlo(p, steps=2_000, seed=1)
 flow_field(p)
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+markov.SEGMENT_STEPS = 1000
+markov._usable_cpus = experiments._usable_cpus = lambda: 2
+monte_carlo(p, steps=2_000, seed=1)
+experiments.run_experiment(load_config(sys.argv[1], out_dir=sys.argv[2]))
+assert len(forks) == 3, forks  # one later segment, then two panels
+assert not [m for m in sys.modules if m.partition(".")[0] in mp]
 assert not [m for m in sys.modules if m.partition(".")[0] == "scipy"]
 assert model.transitions.nnz > model.n_states
 direct = stationary(model, method="direct")
 assert 0.5 * np.abs(levels.pi - direct.pi).sum() < 1e-12
 """
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)
     src = str(Path(coaldyn.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "out")], env=env, check=True)
+    assert len(list((tmp_path / "out").glob("stationary_alpha*.csv"))) == 2
 
 
 def test_unknown_mutation_form_rejected():

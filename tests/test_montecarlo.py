@@ -1,14 +1,17 @@
 """Individual-based simulator: determinism, the kernel against its per-step reference, and sanity."""
 
-import multiprocessing
+import errno
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from coaldyn import BenefitFunction, CapacityError, GameParams, markov, monte_carlo
+from coaldyn import BenefitFunction, CapacityError, GameParams, WorkerError, markov, monte_carlo
 
-from oracles import _simulate_block
+from oracles import _simulate_block, no_child_processes
 
 SIGMOID = BenefitFunction.sigmoid()
 
@@ -86,7 +89,7 @@ def test_interpreted_kernel_matches_per_step_reference(
 def run_in_segments(monkeypatch, segments, block_steps, *args, **kw):
     """`monte_carlo` split into ``segments`` segments, and the steps at which
     the caller started a stream past its first segment: each later segment's
-    re-run, then its guessed prefix's replay if it met the worker's path."""
+    re-run, then its guessed prefix's replay if it met the child's path."""
     started = []
     stream = markov._stream
 
@@ -135,22 +138,95 @@ def test_segments_give_the_one_segment_run(
     for other in (one, ref):
         assert np.array_equal(split.occupancy, other.occupancy)
         assert np.array_equal(split.trajectory, other.trajectory)
-    assert not multiprocessing.active_children()
+    assert no_child_processes()
 
 
 class SegmentFailed(RuntimeError):
     pass
 
 
-def fail_segment(*args):
-    raise SegmentFailed("raised in a worker")
+class Unpicklable(RuntimeError):
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None  # a lambda cannot be pickled
+
+
+class NeedsTwo(RuntimeError):
+    def __init__(self, what, where):  # pickles, but cannot be rebuilt from its one message
+        super().__init__(f"{what} {where}")
+
+
+def in_a_child(monkeypatch, action):
+    """Make a simulator segment run ``action()`` as it starts, in a child process only."""
+    caller, stream = os.getpid(), markov._stream
+
+    def spy(seed, step):
+        if os.getpid() != caller:
+            action()
+        return stream(seed, step)
+    monkeypatch.setattr(markov, "_stream", spy)
 
 
 def test_a_worker_error_reaches_the_caller_with_its_type(monkeypatch):
-    monkeypatch.setattr(markov, "_guessed_segment", fail_segment)
-    with pytest.raises(SegmentFailed, match="raised in a worker"):
+    def fail():
+        raise SegmentFailed("raised in a child")
+    in_a_child(monkeypatch, fail)
+    with pytest.raises(SegmentFailed, match="raised in a child"):
         run_in_segments(monkeypatch, 2, None, params(), steps=4_000, seed=1)
-    assert not multiprocessing.active_children()
+    assert no_child_processes()
+
+
+@pytest.mark.parametrize("error, text", [
+    (Unpicklable("holds a lambda"), "Unpicklable: holds a lambda"),
+    (NeedsTwo("two", "parts"), "NeedsTwo: two parts"),
+])
+def test_an_error_that_cannot_be_pickled_arrives_as_a_worker_error(monkeypatch, error, text):
+    def fail():
+        raise error
+    in_a_child(monkeypatch, fail)
+    with pytest.raises(WorkerError, match=text):
+        run_in_segments(monkeypatch, 2, None, params(), steps=4_000, seed=1)
+    assert no_child_processes()
+
+
+def test_a_killed_segment_raises_a_worker_error(monkeypatch):
+    in_a_child(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(WorkerError, match=f"killed by signal {int(signal.SIGKILL)} "):
+        run_in_segments(monkeypatch, 3, None, params(), steps=6_000, seed=1)
+    assert no_child_processes()
+
+
+def test_a_fork_that_fails_raises_a_worker_error_and_closes_its_pipe(monkeypatch):
+    pipes, pipe = [], os.pipe
+
+    def spy():
+        pipes.append(pipe())
+        return pipes[-1]
+
+    def refuse():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+    monkeypatch.setattr(os, "pipe", spy)
+    monkeypatch.setattr(os, "fork", refuse)
+    with pytest.raises(WorkerError, match="cannot fork a child process"):
+        run_in_segments(monkeypatch, 2, None, params(), steps=4_000, seed=1)
+    assert len(pipes) == 1
+    for fd in pipes[0]:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+def test_children_send_more_than_a_pipe_holds_and_none_outlives_the_block():
+    """The caller reads each pipe to its end before it reaps the child; a result of
+    8 MB would otherwise leave its child blocked on a full pipe.  A child not
+    collected when the block ends is killed, not waited for."""
+    with markov._children() as fork:
+        waits = [fork(np.arange, n) for n in (10**6, 3)]
+        assert [wait().sum() for wait in waits] == [10**6 * (10**6 - 1) // 2, 3]
+    start = time.perf_counter()
+    with markov._children() as fork:
+        fork(time.sleep, 60)
+    assert time.perf_counter() - start < 10
+    assert no_child_processes()
 
 
 def test_occupancy_is_a_distribution():
