@@ -8,22 +8,18 @@ marginal-gain analysis, deterministic replicator fields with an exact
 information-cost correction, and finite-population stochastic dynamics
 (an imitation Markov chain plus an individual-based simulator).
 
-Set ``COALDYN_THREADS`` to cap the BLAS thread count; it is translated to
-the usual library-specific variables before numpy is first imported.
+BLAS runs one thread per process unless the environment says otherwise:
+``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` and
+``VECLIB_MAXIMUM_THREADS`` default to 1 before numpy is first imported, so
+a run's bytes do not depend on how many CPUs it may use.  Set the library's
+own variable for more threads.
 """
 
 import os as _os
 
-_threads = _os.environ.get("COALDYN_THREADS")
-if _threads:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS",
-    ):
-        _os.environ.setdefault(_var, _threads)
-del _os, _threads
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
+del _os, _var
 
 from .benefits import BenefitFunction
 from .errors import (CapacityError, CoaldynError, ConfigError, NonConvergenceError, ReducibleChainError,

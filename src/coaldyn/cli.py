@@ -1,10 +1,10 @@
 """Command-line entry point: ``coaldyn run <config> [overrides]``.
 
 Exit codes: 0 success, 2 configuration problems (a ``mu`` that leaves the
-chain reducible among them), 3 capacity limits, 4 solver non-convergence,
-5 a child process (a sweep panel or simulator segment) that failed to start
-or to send a result.  Each failure prints a single machine-parsable line
-``error: <category>: <reason>`` to stderr.
+chain reducible, an output directory that cannot be made), 3 capacity limits,
+4 solver non-convergence, 5 a child process (a sweep panel or simulator
+segment) that failed to start or to send a result.  Each failure prints a
+single machine-parsable line ``error: <category>: <reason>`` to stderr.
 """
 
 from __future__ import annotations

@@ -47,6 +47,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
+from .errors import ConfigError
 from .game import GameParams, effective_shares, group_size
 from .informed import gains_on_grid, informed_field_grid
 # Not called here, but perfbench/tracing.py wraps these six names on this module:
@@ -549,7 +550,10 @@ _HANDLERS = {
 
 def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     """Dispatch one configured experiment and write its manifest."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc.strerror}") from None
     outputs = _HANDLERS[cfg.experiment](cfg)
     manifest_path = cfg.out_dir / "manifest.json"
     manifest = RunManifest(

@@ -11,14 +11,18 @@ contribution `c`; members pay a coalition fee `c_c`; outsiders pay
 nothing and consume only the spillover.
 
 This module holds the parameter/state containers, the coalition
-group-size law, and the raw per-interaction payoffs.  Averaging over
-group composition lives in `sampling`.
+group-size law, and the raw per-interaction payoffs, all read from
+`_payoff_grid` on a group's contribution grid: `sampling` and `informed`
+read it whole, `payoff` and `marginal_return` at one point.  Averaging
+over group composition lives in `sampling`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .benefits import BenefitFunction
 
@@ -184,14 +188,34 @@ def effective_shares(params: GameParams, n: int) -> EffectiveShares:
     return EffectiveShares(eps1=eps1, eps2=eps2, kappa=params.c_c / params.c)
 
 
-def _check_on_grid(params: GameParams, c_prime: float, n: int) -> None:
-    """Reject a contribution total that no group of n-1 others can produce."""
+def _payoff_grid(params: GameParams, n: int):
+    """Member and outsider payoffs on the contribution grid of a size-n group.
+
+    Returns (pi_c, pi_d, pi_o, produced) where pi_c[k]/pi_d[k] are the
+    payoffs of a focal cooperator/defector facing k cooperating
+    co-members (k = 0..n-1), pi_o[k] is the outsider payoff when a
+    group produced from k cooperators (k = 0..n), and produced[k] is
+    the raw benefit B(k c) on that grid.
+    """
+    shares = effective_shares(params, n)
+    scale = n * params.c
+    pool_grid = np.arange(n + 1) * params.c
+    produced = np.asarray(params.benefit(pool_grid, scale), dtype=float)
+    pi_c = produced[1:] * shares.total - params.c - params.c_c
+    pi_d = produced[:-1] * shares.total - params.c_c
+    pi_o = produced * shares.eps2
+    return pi_c, pi_d, pi_o, produced
+
+
+def _check_on_grid(params: GameParams, c_prime: float, n: int) -> int:
+    """The grid index k = c_prime / c; rejects a total no group of n-1 others can produce."""
     k = c_prime / params.c
     if abs(k - round(k)) > 1e-9 or not -1e-9 <= k <= n - 1 + 1e-9:
         raise ValueError(
             f"others' contribution {c_prime} is not k*c for k in [0, {n - 1}]; "
             f"likely a caller bug"
         )
+    return round(k)
 
 
 def payoff(params: GameParams, strategy: str, c_prime: float, n: int) -> float:
@@ -201,34 +225,23 @@ def payoff(params: GameParams, strategy: str, c_prime: float, n: int) -> float:
     working group (k * c for k in [0, n-1]); `n` is the working-group
     size.  A cooperator adds its own contribution before the benefit is
     produced; an outsider consumes only the spillover and is unaffected
-    by n beyond the pool the group produced.
+    by n beyond the pool the group produced.  `_payoff_grid` read at k.
     """
-    if n < 2:
-        raise ValueError(f"group size must be at least 2, got {n}")
-    _check_on_grid(params, c_prime, n)
-    shares = effective_shares(params, n)
-    scale = n * params.c
-    if strategy == "C":
-        produced = params.benefit(c_prime + params.c, scale)
-        return produced * shares.total - params.c - params.c_c
-    if strategy == "D":
-        produced = params.benefit(c_prime, scale)
-        return produced * shares.total - params.c_c
-    if strategy == "O":
-        produced = params.benefit(c_prime, scale)
-        return produced * shares.eps2
-    raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy not in ("C", "D", "O"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    k = _check_on_grid(params, c_prime, n)
+    return _payoff_grid(params, n)["CDO".index(strategy)][k].item()
 
 
 def marginal_return(params: GameParams, c_prime: float, n: int) -> float:
     """Dimensionless return R = (B(C' + c) - B(C')) / c of one extra contribution."""
-    _check_on_grid(params, c_prime, n)
-    scale = n * params.c
-    return (params.benefit(c_prime + params.c, scale) - params.benefit(c_prime, scale)) / params.c
+    k = _check_on_grid(params, c_prime, n)
+    produced = _payoff_grid(params, n)[3]
+    return ((produced[k + 1] - produced[k]) / params.c).item()
 
 
 def relative_benefit(params: GameParams, c_prime: float, n: int) -> float:
-    """Benefit measured in contribution units, b(C') = B(C') / c."""
+    """Benefit in contribution units, b(C') = B(C') / c; a direct call, as C' may be off the grid."""
     if not -1e-9 <= c_prime / params.c <= n + 1e-9:
         raise ValueError(f"contribution {c_prime} outside [0, {n}*c]")
     return params.benefit(c_prime, n * params.c) / params.c

@@ -6,9 +6,10 @@ against the population-averaged fitness.  This module provides the
 per-composition pairwise gains, the region classification they induce
 over (group size, contribution) space, and the informed selection
 field obtained when imitation is driven by anticipated post-switch
-fitness instead of current average fitness.  The field has one
-arithmetic, `informed_field_grid`, over arrays of states;
-`informed_field` reads it at one state.
+fitness instead of current average fitness.  The gains and labels have
+one arithmetic, `gains_on_grid`, on `game._payoff_grid`, which
+`marginal_gains` and `classify_state` read at one k; the field has one,
+`informed_field_grid`, which `informed_field` reads at one state.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameParams, PopulationState, _check_on_grid, effective_shares
+from .game import GameParams, PopulationState, _check_on_grid, _payoff_grid, effective_shares
 from .sampling import fitness_table
 
 __all__ = [
@@ -79,84 +80,55 @@ class InformedFlow:
     delta_od: float | None = None
 
 
-def _gain_terms(params: GameParams, c_prime, n: int):
-    """(d_cd, d_do, d_co, returns_clear, joining_pays) at others' contribution c_prime.
+def gains_on_grid(params: GameParams, k, n: int):
+    """(d_cd, d_do, d_co, labels) at others' contribution c_prime = k c, for an array of k or one k.
 
-    `c_prime` is a scalar or an array on the contribution grid; both take
-    the same arithmetic, so whole-grid callers agree with `marginal_gains`
-    and `classify_state` bit for bit.  The gains come in closed form from
-    the marginal return R and the relative benefits b = B/c; the two
-    booleans are the threshold conditions R (eps1 + eps2) > 1 and
-    b(C' + c) eps1 > 1 - R eps2 + kappa.
+    The one arithmetic of the gains and of the labels: closed forms in the
+    marginal return R and the relative benefits b = B/c, both read from
+    the benefit grid of `_payoff_grid`.  Label "A" takes the threshold
+    conditions R (eps1 + eps2) > 1 and b(C' + c) eps1 > 1 - R eps2 + kappa,
+    "B" takes d_cd < 0 < d_do, and "" stands for no label.
     """
     shares = effective_shares(params, n)
     c = params.c
-    scale = n * c
-    produced_here = params.benefit(c_prime, scale)
-    produced_next = params.benefit(c_prime + c, scale)
-    r = (produced_next - produced_here) / c
-    b_here = produced_here / c
-    b_next = produced_next / c
+    produced = _payoff_grid(params, n)[3]
+    r = (produced[k + 1] - produced[k]) / c
+    b_here = produced[k] / c
+    b_next = produced[k + 1] / c
     d_cd = c * (r * shares.total - 1.0)
     d_do = c * (b_here * shares.eps1 - shares.kappa)
     d_co = c * (r * shares.total + b_here * shares.eps1 - 1.0 - shares.kappa)
     returns_clear = r * shares.total > 1.0
     joining_pays = b_next * shares.eps1 > 1.0 - r * shares.eps2 + shares.kappa
-    return d_cd, d_do, d_co, returns_clear, joining_pays
+    labels = np.where(returns_clear & joining_pays, "A",
+                      np.where((d_cd < 0.0) & (d_do > 0.0), "B", ""))
+    return d_cd, d_do, d_co, labels
 
 
 def marginal_gains(params: GameParams, c_prime: float, n: int) -> MarginalGains:
     """Pairwise strategy gains for a group of n with others contributing c_prime.
 
-    Computed in closed form from the marginal return and the effective
-    shares; `payoff` subtraction gives the same numbers and serves as
-    an independent cross-check in the test suite.
+    `gains_on_grid` at one k; `tests/oracles.payoff_triple` subtraction
+    gives the same numbers and serves as an independent cross-check in
+    the test suite.
     """
-    _check_on_grid(params, c_prime, n)
-    d_cd, d_do, d_co, _, _ = _gain_terms(params, c_prime, n)
-    return MarginalGains(d_cd=d_cd, d_do=d_do, d_co=d_co)
-
-
-def _sign(v: float) -> int:
-    if v > 0.0:
-        return 1
-    if v < 0.0:
-        return -1
-    return 0
+    d_cd, d_do, d_co, _ = gains_on_grid(params, _check_on_grid(params, c_prime, n), n)
+    return MarginalGains(d_cd=d_cd.item(), d_do=d_do.item(), d_co=d_co.item())
 
 
 def classify_state(params: GameParams, c_prime: float, n: int) -> StateClass:
     """Classify one (group size, contribution) cell by its gain signs.
 
-    Label "A" requires both threshold conditions strictly: the marginal
-    return must clear the dilution threshold, R > 1/(eps1 + eps2), and
-    joining as a cooperator must beat staying outside,
-    b(C' + c) * eps1 > 1 - R * eps2 + kappa.  These are algebraically
-    the sign conditions d_cd > 0 and d_co > 0; the sign-based reading
-    is asserted against this one in the tests.
+    `gains_on_grid` at one k.  Label "A" requires both threshold
+    conditions strictly: the marginal return must clear the dilution
+    threshold, R > 1/(eps1 + eps2), and joining as a cooperator must beat
+    staying outside, b(C' + c) * eps1 > 1 - R * eps2 + kappa.  These are
+    algebraically the sign conditions d_cd > 0 and d_co > 0; the
+    sign-based reading is asserted against this one in the tests.
     """
-    _check_on_grid(params, c_prime, n)
-    d_cd, d_do, d_co, returns_clear, joining_pays = _gain_terms(params, c_prime, n)
-    signs = (_sign(d_cd), _sign(d_do), _sign(d_co))
-    if returns_clear and joining_pays:
-        label = "A"
-    elif d_cd < 0.0 and d_do > 0.0:
-        label = "B"
-    else:
-        label = None
-    return StateClass(signs=signs, label=label)
-
-
-def gains_on_grid(params: GameParams, k: np.ndarray, n: int):
-    """`marginal_gains` and `classify_state` at c_prime = k c for an array of k.
-
-    Returns (d_cd, d_do, d_co, labels): the gains as float arrays and the
-    labels as a string array, "" where `classify_state` gives None.
-    """
-    d_cd, d_do, d_co, returns_clear, joining_pays = _gain_terms(params, k * params.c, n)
-    labels = np.where(returns_clear & joining_pays, "A",
-                      np.where((d_cd < 0.0) & (d_do > 0.0), "B", ""))
-    return d_cd, d_do, d_co, labels
+    d_cd, d_do, d_co, label = gains_on_grid(params, _check_on_grid(params, c_prime, n), n)
+    return StateClass(signs=tuple(np.sign((d_cd, d_do, d_co)).astype(int).tolist()),
+                      label=label.item() or None)
 
 
 def informed_field(params: GameParams, state: PopulationState) -> InformedFlow:

@@ -13,7 +13,8 @@ size i_m at a time.  The working-group size depends only on i_m, so all
 compositions of one level share one hypergeometric matrix H[s, k] (k
 cooperators among the N - 1 co-members drawn from the i_m - 1 others, s
 of whom cooperate), and the level's three fitnesses are products of H
-with the payoff grid.  Each level's H is built once and only one exists
+with the payoff grid, `game._payoff_grid`, whose benefit grid also
+gives the means.  Each level's H is built once and only one exists
 at a time: when the flow field asks for the mean marginal return and
 mean benefit, the same H gives them by a second product.  The pointwise
 `mean_return` and `mean_benefit` take that product over the two rows of
@@ -33,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .game import GameParams, PopulationState, effective_shares, group_size
+from .game import GameParams, PopulationState, _payoff_grid, group_size
 
 __all__ = [
     "HypergeomSpec",
@@ -127,25 +128,6 @@ class FitnessTriple:
     f_c: float
     f_d: float
     f_o: float
-
-
-def _payoff_grid(params: GameParams, n: int):
-    """Member and outsider payoffs on the contribution grid of a size-n group.
-
-    Returns (pi_c, pi_d, pi_o, produced) where pi_c[k]/pi_d[k] are the
-    payoffs of a focal cooperator/defector facing k cooperating
-    co-members (k = 0..n-1), pi_o[k] is the outsider payoff when a
-    group produced from k cooperators (k = 0..n), and produced[k] is
-    the raw benefit B(k c) on that grid.
-    """
-    shares = effective_shares(params, n)
-    scale = n * params.c
-    pool_grid = np.arange(n + 1) * params.c
-    produced = np.asarray(params.benefit(pool_grid, scale), dtype=float)
-    pi_c = produced[1:] * shares.total - params.c - params.c_c
-    pi_d = produced[:-1] * shares.total - params.c_c
-    pi_o = produced * shares.eps2
-    return pi_c, pi_d, pi_o, produced
 
 
 def _level_draws(i_m: int, n: int) -> np.ndarray:

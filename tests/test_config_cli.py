@@ -828,6 +828,17 @@ def test_cli_literal_overflow_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_unusable_output_directory_is_a_config_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    code = main(["run", str(write_cfg(tmp_path, BASE)), "--out", str(blocker / "sub")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: config: cannot create output directory")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert blocker.read_text() == "not a directory\n"
+
+
 @pytest.mark.parametrize("mu, reason", [("5e-324", "not strongly connected"), ("0", "mu > 0")])
 def test_cli_reducible_chain_is_a_config_error(tmp_path, capsys, mu, reason):
     # 5e-324 / 2 underflows to zero, so mutation cannot leave the all-outsider state.

@@ -14,6 +14,8 @@ from coaldyn.game import (
     relative_benefit,
 )
 
+from oracles import payoff_triple
+
 SIGMOID = BenefitFunction.sigmoid()
 
 
@@ -163,22 +165,24 @@ def test_sigmoid_return_peaks_at_threshold():
     k=st.integers(min_value=0, max_value=59),
     e=st.floats(min_value=0.0, max_value=1.0),
     cc=st.floats(min_value=0.0, max_value=3.0),
+    c=st.floats(min_value=0.1, max_value=3.0),
 )
 @settings(max_examples=80)
-def test_payoff_identities(n, k, e, cc):
-    """Algebraic relations between the three payoffs, to float exactness."""
+def test_payoff_identities(n, k, e, cc, c):
+    """The payoffs agree with the model definition, and with the algebraic relations
+    between them, to float exactness."""
     if k > n - 1:
         return
-    p = params(z=100, e=e, c_c=cc)
-    c_prime = float(k)
+    p = params(z=100, e=e, c=c, c_c=cc)
+    c_prime = k * c
     sh = effective_shares(p, n)
-    pi_c = payoff(p, "C", c_prime, n)
-    pi_d = payoff(p, "D", c_prime, n)
-    pi_o = payoff(p, "O", c_prime, n)
-    b_here = p.benefit(c_prime, n * p.c)
+    pi_c, pi_d, pi_o = payoffs = tuple(payoff(p, s, c_prime, n) for s in "CDO")
+    assert payoffs == pytest.approx(payoff_triple(p, k, n), abs=1e-12)
+    b_here = p.benefit(c_prime, n * c)
     r = marginal_return(p, c_prime, n)
+    assert r == pytest.approx((p.benefit((k + 1) * c, n * c) - b_here) / c, abs=1e-12)
     assert pi_d - pi_o == pytest.approx(b_here * sh.eps1 - cc, abs=1e-12)
-    assert pi_c - pi_d == pytest.approx(p.c * (r * sh.total - 1.0), abs=1e-12)
+    assert pi_c - pi_d == pytest.approx(c * (r * sh.total - 1.0), abs=1e-12)
 
 
 def test_relative_benefit_units():

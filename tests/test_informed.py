@@ -16,8 +16,10 @@ from coaldyn import (
     marginal_gains,
     replicator_field,
 )
-from coaldyn.game import effective_shares, group_size, payoff
+from coaldyn.game import effective_shares, group_size
 from coaldyn.replicator import mean_return
+
+from oracles import payoff_triple
 
 SIGMOID = BenefitFunction.sigmoid()
 
@@ -34,20 +36,18 @@ def params(**kw):
     e=st.floats(min_value=0.0, max_value=1.0),
     cc=st.floats(min_value=0.0, max_value=2.0),
     steep=st.floats(min_value=5.0, max_value=150.0),
+    c=st.floats(min_value=0.1, max_value=3.0),
 )
 @settings(max_examples=100)
-def test_telescoping_and_payoff_crosscheck(n, k, e, cc, steep):
+def test_telescoping_and_payoff_crosscheck(n, k, e, cc, steep, c):
     """d_CO = d_CD + d_DO, and the closed forms equal payoff subtraction."""
     if k > n - 1:
         return
-    p = params(e=e, c_c=cc, benefit=BenefitFunction.sigmoid(steepness=steep))
-    c_prime = float(k)
-    g = marginal_gains(p, c_prime, n)
+    p = params(e=e, c=c, c_c=cc, benefit=BenefitFunction.sigmoid(steepness=steep))
+    g = marginal_gains(p, k * c, n)
     assert g.d_co == pytest.approx(g.d_cd + g.d_do, abs=1e-12)
-    # independent route: raw payoff differences at the same C'
-    pi_c = payoff(p, "C", c_prime, n)
-    pi_d = payoff(p, "D", c_prime, n)
-    pi_o = payoff(p, "O", c_prime, n)
+    # independent route: raw payoff differences from the model definition
+    pi_c, pi_d, pi_o = payoff_triple(p, k, n)
     assert g.d_cd == pytest.approx(pi_c - pi_d, abs=1e-12)
     assert g.d_do == pytest.approx(pi_d - pi_o, abs=1e-12)
     assert g.d_co == pytest.approx(pi_c - pi_o, abs=1e-12)

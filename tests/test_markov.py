@@ -253,6 +253,35 @@ assert 0.5 * np.abs(levels.pi - direct.pi).sum() < 1e-12
     assert len(list((tmp_path / "out").glob("stationary_alpha*.csv"))) == 2
 
 
+# Writes the pi bytes of the panel_sweep.cfg game at alpha = 4 to stdout, held to one
+# CPU, before numpy is imported, when argv[1] is "one".
+PI_ON_CPUS = """
+import os, sys
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from coaldyn import BenefitFunction, GameParams, build_chain, stationary
+p = GameParams(z=100, g_m=0.05, alpha=4.0, beta=0.1, mu=0.01,
+               benefit=BenefitFunction.sigmoid(amplitude=100, steepness=100, threshold=0.75))
+sys.stdout.buffer.write(stationary(build_chain(p)).pi.tobytes())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs CPU affinity masks and at least two usable CPUs")
+def test_stationary_bytes_do_not_depend_on_the_cpu_count():
+    """With no thread variable set, BLAS runs one thread however many CPUs a process may
+    use, so the level solve writes the same pi bytes on one CPU and on all."""
+    threads = ("COALDYN_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in threads}
+    src = str(Path(coaldyn.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    one, every = (subprocess.run([sys.executable, "-c", PI_ON_CPUS, cpus], env=env, capture_output=True,
+                                 check=True, timeout=120).stdout for cpus in ("one", "all"))
+    assert len(one) == 5151 * 8
+    assert one == every
+
+
 def test_unknown_mutation_form_rejected():
     with pytest.raises(ValueError, match="mutation_form"):
         build_chain(params(10), mutation_form="fancy")

@@ -12,14 +12,13 @@ from coaldyn.sampling import (
     _hypergeom_rows,
     _level_draws,
     _level_fitness,
-    _payoff_grid,
     fitness,
     fitness_at,
     fitness_table,
     hypergeom_pmf,
     pmf_row,
 )
-from coaldyn.game import group_size
+from coaldyn.game import _payoff_grid, group_size
 
 from oracles import (
     enumerated_pmf,
