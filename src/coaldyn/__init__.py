@@ -22,8 +22,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECL
 del _os, _var
 
 from .benefits import BenefitFunction
-from .errors import (CapacityError, CoaldynError, ConfigError, NonConvergenceError, ReducibleChainError,
-                     WorkerError)
+from .errors import (CapacityError, CoaldynError, ConfigError, NonConvergenceError, OutputError,
+                     ReducibleChainError, WorkerError)
 from .game import (
     EffectiveShares,
     GameParams,
@@ -80,6 +80,7 @@ __all__ = [
     "MarkovModel",
     "MonteCarloResult",
     "NonConvergenceError",
+    "OutputError",
     "PopulationState",
     "ReducibleChainError",
     "SelectionGradient",

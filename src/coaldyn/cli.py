@@ -3,8 +3,10 @@
 Exit codes: 0 success, 2 configuration problems (a ``mu`` that leaves the
 chain reducible, an output directory that cannot be made), 3 capacity limits,
 4 solver non-convergence, 5 a child process (a sweep panel or simulator
-segment) that failed to start or to send a result.  Each failure prints a
-single machine-parsable line ``error: <category>: <reason>`` to stderr.
+segment) that failed to start or to send a result, 6 an output file or the
+manifest that cannot be written once the output directory exists (a full
+disk, a directory in the file's place).  Each failure prints a single
+machine-parsable line ``error: <category>: <reason>`` to stderr.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     from .config import load_config
-    from .errors import CapacityError, ConfigError, NonConvergenceError, ReducibleChainError, WorkerError
+    from .errors import (CapacityError, ConfigError, NonConvergenceError, OutputError, ReducibleChainError,
+                         WorkerError)
     from .experiments import run_experiment
 
     formats = None
@@ -66,6 +69,9 @@ def main(argv=None) -> int:
     except WorkerError as exc:
         print(f"error: worker: {exc}", file=sys.stderr)
         return 5
+    except OutputError as exc:
+        print(f"error: output: {exc}", file=sys.stderr)
+        return 6
     print(f"wrote {len(manifest.outputs)} outputs and manifest.json to {cfg.out_dir}")
     return 0
 

@@ -2,7 +2,12 @@
 
 A run is described by four sections — ``[game]`` (physical parameters),
 ``[benefit]`` (benefit-function shape), ``[experiment]`` (what to compute),
-``[output]`` (where and in which formats).  Unknown sections or keys are
+``[output]`` (where and in which formats).  The keys of ``[game]`` are the
+fields of `GameParams`, plus ``g_m_seats`` (``g_m`` as a seat count); those
+of ``[experiment]`` and ``[output]`` are the fields of `ExperimentConfig`,
+under the section and key their metadata names.  A value is parsed by its
+field's type.  The keys of ``[benefit]`` are the arguments of the
+`BenefitFunction` constructor of its ``kind``.  Unknown sections or keys are
 rejected outright: a typo like ``thetta`` must fail loudly, not silently
 fall back to a default.
 """
@@ -10,8 +15,10 @@ fall back to a default.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from inspect import signature
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .benefits import BenefitFunction
 from .errors import ConfigError
@@ -30,29 +37,19 @@ EXPERIMENTS = (
 
 FORMATS = ("csv", "json", "svg")
 
-_GAME_KEYS = {
-    "z", "e", "theta", "theta_prime", "c", "c_c", "g_m", "g_m_seats",
-    "alpha", "beta", "mu",
-}
-_BENEFIT_KEYS_BY_KIND = {
-    "linear": {"kind", "slope"},
-    "step": {"kind", "amplitude", "threshold"},
-    "sigmoid": {"kind", "amplitude", "steepness", "threshold"},
-    "tabulated": {"kind", "knots"},
-}
-_EXPERIMENT_KEYS = {
-    "name", "values", "seed", "steps", "burn_in", "mutation_form", "method",
-    "z_pair", "group_size", "y_slice", "resolution",
-}
-_OUTPUT_KEYS = {"dir", "formats"}
+_BENEFIT_KINDS = ("linear", "sigmoid", "step", "tabulated")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved description of one run."""
+    """Fully resolved description of one run.
+
+    Each field but ``params`` is a config key: its name in ``[experiment]``
+    unless its metadata names another key or section.
+    """
 
     params: GameParams
-    experiment: str
+    experiment: str = field(metadata={"key": "name"})
     values: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
     seed: int = 1
     steps: int = 1_000_000
@@ -63,8 +60,8 @@ class ExperimentConfig:
     group_size: int = 25
     y_slice: float = 0.5
     resolution: int = 40
-    out_dir: Path = field(default_factory=lambda: Path("out"))
-    formats: tuple[str, ...] = ("csv", "json")
+    out_dir: Path = field(default_factory=lambda: Path("out"), metadata={"section": "output", "key": "dir"})
+    formats: tuple[str, ...] = field(default=("csv", "json"), metadata={"section": "output"})
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -75,7 +72,7 @@ class ExperimentConfig:
             if fmt not in FORMATS:
                 raise ConfigError(f"unknown output format {fmt!r}")
         if not self.values:
-            raise ConfigError("values must list at least one sweep value")
+            raise ConfigError("key 'values' in [experiment] must list at least one sweep value")
         if self.mutation_form not in ("scaled", "literal"):
             raise ConfigError(f"mutation_form must be 'scaled' or 'literal', got {self.mutation_form!r}")
         if self.method not in ("levels", "direct", "power"):
@@ -107,7 +104,8 @@ class ExperimentConfig:
         if self.resolution < 4:
             raise ConfigError(f"resolution must be at least 4, got {self.resolution}")
         if any(z < 4 for z in self.z_pair) or len(self.z_pair) != 2:
-            raise ConfigError(f"z_pair needs two population sizes >= 4, got {self.z_pair}")
+            raise ConfigError(f"key 'z_pair' in [experiment] needs two population sizes >= 4, "
+                              f"got {self.z_pair}")
         # Build every parameter set the run will use, so that a bad one is a
         # ConfigError here and not a ValueError partway through the run.
         used = [self.params]
@@ -131,78 +129,89 @@ class ExperimentConfig:
             raise ConfigError(f"key 'knots' in [benefit] must cover pools 0 to z*c = {top:g}: {exc}") from None
 
 
-def _section(cp: configparser.ConfigParser, name: str) -> dict[str, str]:
-    return dict(cp[name]) if cp.has_section(name) else {}
+def _keys(cls, home: str) -> dict[str, dict[str, tuple[str, type, bool]]]:
+    """Section -> config key -> (field name, type, required), over the fields of ``cls``.
+
+    A field is a key in ``[home]`` under its own name, unless its metadata
+    names another section or key; a field that holds a dataclass is a
+    section of its own, not a key.
+    """
+    hints = get_type_hints(cls)
+    sections: dict = {}
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            continue
+        required = f.default is MISSING and f.default_factory is MISSING
+        section = sections.setdefault(f.metadata.get("section", home), {})
+        section[f.metadata.get("key", f.name)] = (f.name, hints[f.name], required)
+    return sections
 
 
-def _reject_unknown(section: str, given: dict[str, str], known: set[str]) -> None:
-    for key in given:
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r} in [{section}]")
+_SECTIONS = {**_keys(GameParams, "game"), **_keys(ExperimentConfig, "experiment")}
+_SECTIONS["game"]["g_m_seats"] = ("g_m_seats", int, False)  # g_m as a seat count, z * g_m
+_EXPERIMENT_KEYS = set(_SECTIONS["experiment"])
 
 
-def _convert(section: str, key: str, raw: str, converter, what: str):
+def _parse(section: str, key: str, raw: str, kind: type):
+    """``raw`` as a ``kind``; a tuple's items are split at commas and blanks."""
+    if get_origin(kind) is tuple:
+        return tuple(_parse(section, key, part, get_args(kind)[0]) for part in raw.replace(",", " ").split())
     try:
-        return converter(raw)
-    except (TypeError, ValueError):
+        return kind(raw)  # int("1.0") fails: an integer key takes plain integers only
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
         raise ConfigError(f"key {key!r} in [{section}] needs {what}, got {raw!r}") from None
 
 
-def _parse_bool_free_int(section: str, key: str, raw: str) -> int:
-    # int("1.0") fails; accept plain integers only, signs included.
-    return _convert(section, key, raw, int, "an integer")
+def _read_section(cp: configparser.ConfigParser, section: str, keys: dict, **given) -> dict:
+    """The keyword arguments that ``[section]`` gives, by its ``keys`` (a section of `_keys`).
+
+    Values in ``given`` win over the file's.  An unknown key, a value its type
+    cannot parse, or a required key with no value is a ConfigError naming the key.
+    """
+    raw = dict(cp[section]) if cp.has_section(section) else {}
+    kwargs = {}
+    for key, text in raw.items():
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in [{section}]")
+        name, kind, _ = keys[key]
+        kwargs[name] = _parse(section, key, text, kind)
+    kwargs.update(given)
+    for key, (name, _, required) in keys.items():
+        if required and name not in kwargs:
+            raise ConfigError(f"key {key!r} in [{section}] is required")
+    return kwargs
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
-    return _convert(section, key, raw, float, "a number")
-
-
-def _build_benefit(raw: dict[str, str], base_dir: Path) -> BenefitFunction:
-    kind = raw.get("kind", "sigmoid")
-    if kind not in _BENEFIT_KEYS_BY_KIND:
-        raise ConfigError(
-            f"unknown benefit kind {kind!r}; expected one of {', '.join(sorted(_BENEFIT_KEYS_BY_KIND))}"
-        )
-    _reject_unknown("benefit", raw, _BENEFIT_KEYS_BY_KIND[kind])
-    get = lambda key: _parse_float("benefit", key, raw[key])  # noqa: E731
+def _build_benefit(cp: configparser.ConfigParser, base_dir: Path) -> BenefitFunction:
+    kind = cp.get("benefit", "kind", fallback="sigmoid")
+    if kind not in _BENEFIT_KINDS:
+        raise ConfigError(f"unknown benefit kind {kind!r}; expected one of {', '.join(_BENEFIT_KINDS)}")
+    # A tabulated benefit's knots are a CSV path; every other argument is a number.
+    keys = {key: (key, str if key in ("kind", "knots") else float, False)
+            for key in ("kind", *signature(getattr(BenefitFunction, kind)).parameters)}
+    kwargs = _read_section(cp, "benefit", keys)
+    kwargs.pop("kind", None)
     try:
-        if kind == "linear":
-            return BenefitFunction.linear(slope=get("slope")) if "slope" in raw else BenefitFunction.linear()
-        if kind == "step":
-            kwargs = {k: get(k) for k in ("amplitude", "threshold") if k in raw}
-            return BenefitFunction.step(**kwargs)
-        if kind == "sigmoid":
-            kwargs = {k: get(k) for k in ("amplitude", "steepness", "threshold") if k in raw}
-            return BenefitFunction.sigmoid(**kwargs)
-        knots = raw.get("knots")
-        if not knots:
+        if kind != "tabulated":
+            return getattr(BenefitFunction, kind)(**kwargs)
+        if not kwargs.get("knots"):
             raise ConfigError("tabulated benefit needs a 'knots' CSV path")
-        knot_path = Path(knots)
-        if not knot_path.is_absolute():
-            knot_path = base_dir / knot_path
-        return BenefitFunction.from_csv(knot_path)
+        return BenefitFunction.from_csv(base_dir / kwargs["knots"])
     except ConfigError:
         raise
     except (ValueError, OSError) as exc:
         raise ConfigError(f"benefit section invalid: {exc}") from None
 
 
-def _build_params(raw: dict[str, str], benefit: BenefitFunction) -> GameParams:
-    _reject_unknown("game", raw, _GAME_KEYS)
-    if "z" not in raw:
-        raise ConfigError("key 'z' in [game] is required")
-    z = _parse_bool_free_int("game", "z", raw["z"])
-    if "g_m" in raw and "g_m_seats" in raw:
-        raise ConfigError("give either 'g_m' or 'g_m_seats' in [game], not both")
-    kwargs: dict[str, float] = {}
-    for key in ("e", "theta", "theta_prime", "c", "c_c", "g_m", "alpha", "beta", "mu"):
-        if key in raw:
-            kwargs[key] = _parse_float("game", key, raw[key])
-    if "g_m_seats" in raw:
-        seats = _parse_bool_free_int("game", "g_m_seats", raw["g_m_seats"])
-        kwargs["g_m"] = seats / z
+def _build_params(cp: configparser.ConfigParser, benefit: BenefitFunction) -> GameParams:
+    kwargs = _read_section(cp, "game", _SECTIONS["game"], benefit=benefit)
+    if "g_m_seats" in kwargs:
+        if "g_m" in kwargs:
+            raise ConfigError("give either 'g_m' or 'g_m_seats' in [game], not both")
+        kwargs["g_m"] = kwargs.pop("g_m_seats") / kwargs["z"]
     try:
-        return GameParams(z=z, benefit=benefit, **kwargs)
+        return GameParams(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid [game] parameters: {exc}") from None
 
@@ -222,55 +231,14 @@ def load_config(path, *, out_dir=None, seed: int | None = None,
         raise ConfigError(f"cannot parse config file {path}: {exc}") from None
 
     for section in cp.sections():
-        if section not in ("game", "benefit", "experiment", "output"):
+        if section not in (*_SECTIONS, "benefit"):
             raise ConfigError(f"unknown section [{section}]")
 
-    benefit = _build_benefit(_section(cp, "benefit"), path.parent)
-    params = _build_params(_section(cp, "game"), benefit)
-
-    exp_raw = _section(cp, "experiment")
-    _reject_unknown("experiment", exp_raw, _EXPERIMENT_KEYS)
-    if experiment is None and "name" not in exp_raw:
-        raise ConfigError("key 'name' in [experiment] is required (or pass --experiment)")
-
-    out_raw = _section(cp, "output")
-    _reject_unknown("output", out_raw, _OUTPUT_KEYS)
-
-    kwargs: dict = {
-        "params": params,
-        "experiment": experiment if experiment is not None else exp_raw["name"],
-    }
-    if "values" in exp_raw:
-        parts = [p for p in exp_raw["values"].replace(",", " ").split() if p]
-        if not parts:
-            raise ConfigError("key 'values' in [experiment] must list numbers")
-        kwargs["values"] = tuple(_parse_float("experiment", "values", p) for p in parts)
-    for key in ("seed", "steps", "burn_in", "group_size", "resolution"):
-        if key in exp_raw:
-            kwargs[key] = _parse_bool_free_int("experiment", key, exp_raw[key])
-    for key in ("mutation_form", "method"):
-        if key in exp_raw:
-            kwargs[key] = exp_raw[key]
-    if "y_slice" in exp_raw:
-        kwargs["y_slice"] = _parse_float("experiment", "y_slice", exp_raw["y_slice"])
-    if "z_pair" in exp_raw:
-        parts = [p for p in exp_raw["z_pair"].replace(",", " ").split() if p]
-        if len(parts) != 2:
-            raise ConfigError(f"key 'z_pair' in [experiment] needs two population sizes, got {exp_raw['z_pair']!r}")
-        kwargs["z_pair"] = tuple(_parse_bool_free_int("experiment", "z_pair", p) for p in parts)
-
-    if "dir" in out_raw:
-        kwargs["out_dir"] = Path(out_raw["dir"])
-    if "formats" in out_raw:
-        parts = [p for p in out_raw["formats"].replace(",", " ").split() if p]
-        kwargs["formats"] = tuple(parts)
-
-    # CLI overrides win over file values.
-    if out_dir is not None:
-        kwargs["out_dir"] = Path(out_dir)
-    if seed is not None:
-        kwargs["seed"] = seed
-    if formats is not None:
-        kwargs["formats"] = tuple(formats)
-
-    return ExperimentConfig(**kwargs)
+    params = _build_params(cp, _build_benefit(cp, path.parent))
+    overrides = {"out_dir": out_dir if out_dir is None else Path(out_dir), "seed": seed,
+                 "formats": formats if formats is None else tuple(formats), "experiment": experiment}
+    overrides = {name: value for name, value in overrides.items() if value is not None}
+    kwargs = {}
+    for section in ("experiment", "output"):
+        kwargs.update(_read_section(cp, section, _SECTIONS[section], **overrides))
+    return ExperimentConfig(params=params, **kwargs)

@@ -31,3 +31,7 @@ class ReducibleChainError(CoaldynError, ValueError):
 
 class WorkerError(CoaldynError):
     """A child process could not start, ended without a result, or raised an unpicklable exception."""
+
+
+class OutputError(CoaldynError):
+    """An output file or the manifest could not be written once the output directory exists."""

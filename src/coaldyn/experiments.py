@@ -14,12 +14,16 @@ formats each (N, k) gain cell once.
 
 Per-state work runs in blocks of `BLOCK_ROWS` = 4096 states: the flow
 and informed fields fill their columns a block at a time, and the per-state
-CSVs reach `write_csv` as a chain of per-block zips.  Resident per
+CSVs reach `write_csv` as a generator of per-block zips.  Resident per
 population size are the fitness table, 3 (z + 2)^2 floats (1.0 MB at
 z = 200, 3.9 MB at z = 400), and the state text, about 29 bytes a state
-plus an 8-byte offset (0.74 and 3.1 MB).  One `field` run peaked at
-44.5 MB with whole columns and 39.9 MB in blocks at z = 200, and at 75.4
-and 51.3 MB at z = 400 (README).
+plus an 8-byte offset (0.74 and 3.1 MB).
+
+Every file is written through `_Outputs.emit`, which skips a file whose
+format (the suffix of its name) the run does not ask for before its writer
+runs; per-state rows (`_state_rows`) and SVG arrows are made only as the
+writer reads them.  An OSError while a file or the manifest is written
+raises `OutputError`.
 
 `sweep-alpha` builds, solves and writes its panels in min(panels, usable
 CPUs) child processes forked by `markov._children`, the helper whose children
@@ -40,14 +44,14 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
-from .errors import ConfigError
+from .config import _SECTIONS, ExperimentConfig
+from .errors import ConfigError, OutputError
 from .game import GameParams, effective_shares, group_size
 from .informed import gains_on_grid, informed_field_grid
 # Not called here, but perfbench/tracing.py wraps these six names on this module:
@@ -70,6 +74,11 @@ def write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(map(str, row)) + "\n")
 
 
+def write_svg(path: Path, z: int, **panel) -> None:
+    """Write the `simplex_svg` panel of population size ``z``."""
+    path.write_text(simplex_svg(z, **panel), encoding="utf-8", newline="")
+
+
 def _json_safe(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
@@ -90,8 +99,31 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _alpha_tag(alpha: float) -> str:
-    return f"{alpha:g}"
+def _write(path: Path, writer, *args, **kwargs) -> None:
+    try:
+        writer(path, *args, **kwargs)
+    except OSError as exc:  # say, a full disk, or a directory where the file should go
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+class _Outputs:
+    """The files of one run, or of one sweep panel, and their paths for the manifest.
+
+    ``emit(name, writer, *args, **kwargs)`` calls ``writer(out_dir / name,
+    *args, **kwargs)`` and lists the path in ``written`` if the run's formats
+    hold the suffix of ``name``; otherwise it does nothing.  Handlers name
+    the writer by its module global, looked up when the handler runs.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.written: list[Path] = []
+
+    def emit(self, name: str, writer, *args, **kwargs) -> None:
+        if name.rpartition(".")[2] in self.cfg.formats:
+            path = self.cfg.out_dir / name
+            _write(path, writer, *args, **kwargs)
+            self.written.append(path)
 
 
 @dataclass(frozen=True)
@@ -105,32 +137,25 @@ class RunManifest:
     path: Path
 
 
+def _echo(value):
+    return list(value) if isinstance(value, tuple) else str(value) if isinstance(value, Path) else value
+
+
 def _config_echo(cfg: ExperimentConfig) -> dict:
+    """The resolved config by section: its `[experiment]` and `[output]` keys are those the loader reads."""
     params = dataclasses.asdict(cfg.params)
     benefit = params.pop("benefit")
     benefit["knots"] = [list(k) for k in benefit.get("knots", ())]
     echo = {
         "game": params,
         "benefit": benefit,
-        "experiment": {
-            "name": cfg.experiment,
-            "values": list(cfg.values),
-            "seed": cfg.seed,
-            "steps": cfg.steps,
-            "burn_in": cfg.burn_in,
-            "mutation_form": cfg.mutation_form,
-            "method": cfg.method,
-            "z_pair": list(cfg.z_pair),
-            "group_size": cfg.group_size,
-            "y_slice": cfg.y_slice,
-            "resolution": cfg.resolution,
-        },
-        "output": {"dir": str(cfg.out_dir), "formats": list(cfg.formats)},
         "notes": [
             "theta and theta_prime default to 1 by decision; set them in [game] to override",
             "x-summaries restrict to states with at least one member and renormalize",
         ],
     }
+    for section in ("experiment", "output"):
+        echo[section] = {key: _echo(getattr(cfg, name)) for key, (name, _, _) in _SECTIONS[section].items()}
     return echo
 
 
@@ -163,141 +188,98 @@ def _state_text(z: int) -> tuple[str, np.ndarray]:
 def _state_rows(z: int, i_c: np.ndarray, i_d: np.ndarray, *columns: np.ndarray):
     """CSV rows of the states (i_c, i_d): the state's `_state_text`, then its cell of each column.
 
-    The columns are arrays aligned with i_c and i_d.  Rows are built one
-    block of `BLOCK_ROWS` states at a time, as the writer reads them.
+    The columns are arrays aligned with i_c and i_d.  Lazy: nothing, not even
+    `_state_text`, runs before the writer reads the first row, and rows are
+    built one block of `BLOCK_ROWS` states at a time, as the writer reads them.
     """
     text, offsets = _state_text(z)
     first = StateIndex.for_population(z).offsets  # flat index of (i_c, 0)
-
-    def block(rows: slice):
+    for rows in _row_blocks(len(i_c)):
         s = first[i_c[rows]] + i_d[rows]
-        return zip(map(text.__getitem__, map(slice, offsets[s].tolist(), offsets[s + 1].tolist())),
-                   *(col[rows].tolist() for col in columns))
-
-    return chain.from_iterable(map(block, _row_blocks(len(i_c))))
+        yield from zip(map(text.__getitem__, map(slice, offsets[s].tolist(), offsets[s + 1].tolist())),
+                       *(col[rows].tolist() for col in columns))
 
 
-def _simplex_arrows(z: int, i_c, i_d, d_c, d_d, speed) -> list[tuple[int, int, float, float, float]]:
+def _simplex_arrows(z: int, i_c, i_d, d_c, d_d, speed):
     """Arrows (i_c, i_d, d_c, d_d, speed) on a lattice of about 14 states per edge.
 
     Keeps the states whose counts are both multiples of the stride and that
-    move at all, in the given order.
+    move at all, in the given order.  Lazy, as `_state_rows` is.
     """
     stride = max(1, z // 14)
     keep = (i_c % stride == 0) & (i_d % stride == 0) & (speed > 0.0)
-    return list(zip(*(np.asarray(col)[keep].tolist() for col in (i_c, i_d, d_c, d_d, speed))))
+    yield from zip(*(np.asarray(col)[keep].tolist() for col in (i_c, i_d, d_c, d_d, speed)))
 
 
-def _stationary_outputs(cfg: ExperimentConfig, params: GameParams, tag: str,
-                        with_gradient: bool) -> tuple[list[Path], dict]:
+def _moments(summary) -> dict:
+    """The `markov.StationarySummary` fields as JSON values: x-moments are null where no member exists."""
+    return {key: _json_safe(value) for key, value in dataclasses.asdict(summary).items()}
+
+
+def _stationary_outputs(cfg: ExperimentConfig, out: _Outputs, params: GameParams, tag: str,
+                        with_gradient: bool) -> dict:
+    """Writes the stationary law at ``params``, and its gradient if asked, to files
+    whose names end in ``tag``; returns its summary."""
     model = build_chain(params, mutation_form=cfg.mutation_form)
     result = stationary(model, method=cfg.method)
     index = model.index
-    written: list[Path] = []
-
-    # Each CSV's rows are built inside the call that writes it, a block at
-    # a time, so no block outlives its writer.
-    if "csv" in cfg.formats:
-        path = cfg.out_dir / f"stationary{tag}.csv"
-        write_csv(path, ("i_C", "i_D", "x", "y", "pi"),
-                  _state_rows(index.z, index.i_c_of, index.i_d_of, result.pi))
-        written.append(path)
-
-    grad = None
+    out.emit(f"stationary{tag}.csv", write_csv, ("i_C", "i_D", "x", "y", "pi"),
+             _state_rows(index.z, index.i_c_of, index.i_d_of, result.pi))
+    arrows = None
     if with_gradient:
         grad = selection_gradient(model)
-        if "csv" in cfg.formats:
-            path = cfg.out_dir / f"gradient{tag}.csv"
-            write_csv(path, ("i_C", "i_D", "x", "y", "grad_x", "grad_y", "speed"),
-                      _state_rows(index.z, index.i_c_of, index.i_d_of,
-                                  grad.grad_x, grad.grad_y, grad.speed))
-            written.append(path)
-
-    if "svg" in cfg.formats:
-        arrows = None
-        if grad is not None:
-            arrows = _simplex_arrows(params.z, index.i_c_of, index.i_d_of,
-                                     grad.drift_c, grad.drift_d, grad.speed)
-        path = cfg.out_dir / f"panel{tag}.svg"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(simplex_svg(
-                params.z, arrows=arrows, label=f"alpha = {params.alpha:g}",
-                shade=(index.i_c_of, index.i_d_of, result.pi)))
-        written.append(path)
-
-    summary = {
-        "alpha": params.alpha,
-        "mean_x": _json_safe(result.summary.mean_x),
-        "std_x": _json_safe(result.summary.std_x),
-        "mean_y": result.summary.mean_y,
-        "std_y": result.summary.std_y,
-        "member_mass": result.summary.member_mass,
-        "residual": result.residual,
-        "iterations": result.iterations,
-        "method": result.method,
-    }
-    return written, summary
+        out.emit(f"gradient{tag}.csv", write_csv, ("i_C", "i_D", "x", "y", "grad_x", "grad_y", "speed"),
+                 _state_rows(index.z, index.i_c_of, index.i_d_of, grad.grad_x, grad.grad_y, grad.speed))
+        arrows = _simplex_arrows(params.z, index.i_c_of, index.i_d_of, grad.drift_c, grad.drift_d, grad.speed)
+    out.emit(f"panel{tag}.svg", write_svg, params.z, arrows=arrows, label=f"alpha = {params.alpha:g}",
+             shade=(index.i_c_of, index.i_d_of, result.pi))
+    return {"alpha": params.alpha, **_moments(result.summary), "residual": result.residual,
+            "iterations": result.iterations, "method": result.method}
 
 
 # --- handlers -------------------------------------------------------------
 
-def _run_field(cfg: ExperimentConfig) -> list[Path]:
+def _run_field(cfg: ExperimentConfig, out: _Outputs) -> None:
     params = cfg.params
+    z = params.z
     field = flow_field(params)
-    written: list[Path] = []
-    if "csv" in cfg.formats:
-        path = cfg.out_dir / "field.csv"
-        write_csv(path, field.COLUMNS, _state_rows(
-            params.z, field.i_c, field.i_d, field.x_dot, field.y_dot, field.mean_r, field.mean_b,
-            field.k_exact, field.k_dropped))
-        written.append(path)
+    out.emit("field.csv", write_csv, field.COLUMNS, _state_rows(
+        z, field.i_c, field.i_d, field.x_dot, field.y_dot, field.mean_r, field.mean_b,
+        field.k_exact, field.k_dropped))
 
     points = find_fixed_points(params, grid_resolution=cfg.resolution)
-    if "json" in cfg.formats:
-        payload = {
-            "alpha": params.alpha,
-            "z": params.z,
-            "fixed_points": [
-                {
-                    "x": p.x,
-                    "y": p.y,
-                    "kind": p.kind,
-                    "residual": p.residual,
-                    "eigenvalues": [{"re": e.real, "im": e.imag} for e in p.eigenvalues],
-                    "jacobian": [list(row) for row in p.jacobian],
-                }
-                for p in points
-            ],
-        }
-        path = cfg.out_dir / "fixed_points.json"
-        write_json(path, payload)
-        written.append(path)
+    out.emit("fixed_points.json", write_json, {
+        "alpha": params.alpha,
+        "z": z,
+        "fixed_points": [
+            {
+                "x": p.x,
+                "y": p.y,
+                "kind": p.kind,
+                "residual": p.residual,
+                "eigenvalues": [{"re": e.real, "im": e.imag} for e in p.eigenvalues],
+                "jacobian": [list(row) for row in p.jacobian],
+            }
+            for p in points
+        ],
+    })
 
-    if "svg" in cfg.formats:
-        z = params.z
+    def arrows():
         # Composition displacement of the flow: d(i_m) = z y_dot and
         # d(i_c) = x d(i_m) + i_m x_dot.
         d_m = z * field.y_dot
         d_c = field.x * d_m + (field.i_c + field.i_d) * field.x_dot
-        arrows = _simplex_arrows(z, field.i_c, field.i_d, d_c, d_m - d_c,
-                                 np.hypot(field.x_dot, field.y_dot))
-        path = cfg.out_dir / "field.svg"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(simplex_svg(z, arrows=arrows, label=f"alpha = {params.alpha:g}"))
-        written.append(path)
-    return written
+        yield from _simplex_arrows(z, field.i_c, field.i_d, d_c, d_m - d_c,
+                                   np.hypot(field.x_dot, field.y_dot))
+    out.emit("field.svg", write_svg, z, arrows=arrows(), label=f"alpha = {params.alpha:g}")
 
 
-def _run_stationary(cfg: ExperimentConfig) -> list[Path]:
-    written, summary = _stationary_outputs(cfg, cfg.params, "", with_gradient=False)
-    if "json" in cfg.formats:
-        path = cfg.out_dir / "stationary_summary.json"
-        write_json(path, summary)
-        written.append(path)
-    return written
+def _run_stationary(cfg: ExperimentConfig, out: _Outputs) -> None:
+    out.emit("stationary_summary.json", write_json,
+             _stationary_outputs(cfg, out, cfg.params, "", with_gradient=False))
 
 
-def _run_sweep_alpha(cfg: ExperimentConfig) -> list[Path]:
+def _run_sweep_alpha(cfg: ExperimentConfig, out: _Outputs) -> None:
     """One panel per alpha, in n = min(panels, usable CPUs) forked children, child j
     running panels j, j + n, ...; with one CPU the panels run here, with no fork.
 
@@ -306,37 +288,29 @@ def _run_sweep_alpha(cfg: ExperimentConfig) -> list[Path]:
     """
     _check_capacity(cfg.params.z)  # an oversized sweep fails before its state text is formatted
     _state_text(cfg.params.z)
-    jobs = [(dataclasses.replace(cfg.params, alpha=alpha), f"_alpha{_alpha_tag(alpha)}")
-            for alpha in cfg.values]
+    jobs = [dataclasses.replace(cfg.params, alpha=alpha) for alpha in cfg.values]
 
     def run(share):
-        return [_stationary_outputs(cfg, params, tag, True) for params, tag in share]
+        panels = []
+        for params in share:
+            panel = _Outputs(cfg)
+            summary = _stationary_outputs(cfg, panel, params, f"_alpha{params.alpha:g}", True)
+            panels.append((panel.written, summary))
+        return panels
 
     n = min(len(jobs), _usable_cpus())
     with _children() as fork:  # after a failed panel, leaving it kills the children still running
         waits = [fork(run, jobs[j::n]) for j in range(n)] if n > 1 else [lambda: run(jobs)]
         shares = [wait() for wait in waits]
     results = [shares[i % n][i // n] for i in range(len(jobs))]
-    written = [path for paths, _ in results for path in paths]
+    out.written.extend(path for written, _ in results for path in written)
     panels = [summary for _, summary in results]
-    if "json" in cfg.formats:
-        payload = {
-            "alpha": [p["alpha"] for p in panels],
-            "mean_x": [p["mean_x"] for p in panels],
-            "mean_y": [p["mean_y"] for p in panels],
-            "std_x": [p["std_x"] for p in panels],
-            "std_y": [p["std_y"] for p in panels],
-            "member_mass": [p["member_mass"] for p in panels],
-            "residual": [p["residual"] for p in panels],
-            "iterations": [p["iterations"] for p in panels],
-            "method": cfg.method,
-            "mutation_form": cfg.mutation_form,
-            "theta_decision": "theta = theta_prime = 1 is an engine default, not a fitted value",
-        }
-        path = cfg.out_dir / "sweep_summary.json"
-        write_json(path, payload)
-        written.append(path)
-    return written
+    out.emit("sweep_summary.json", write_json, {
+        **{key: [p[key] for p in panels] for key in panels[0]},
+        "method": cfg.method,
+        "mutation_form": cfg.mutation_form,
+        "theta_decision": "theta = theta_prime = 1 is an engine default, not a fitted value",
+    })
 
 
 def _gain_cells(params: GameParams, n: int) -> tuple[list[str], list[str]]:
@@ -348,7 +322,7 @@ def _gain_cells(params: GameParams, n: int) -> tuple[list[str], list[str]]:
     return [",".join(map(str, (n, *cell))) for cell in zip(*cols, labels)], labels
 
 
-def _run_informed_map(cfg: ExperimentConfig) -> list[Path]:
+def _run_informed_map(cfg: ExperimentConfig, out: _Outputs) -> None:
     """Informed field and representative group-level gains at every state with a group.
 
     The gains depend on the state only through its group size N and the
@@ -379,22 +353,14 @@ def _run_informed_map(cfg: ExperimentConfig) -> list[Path]:
         k_rep = np.rint(np.arange(m + 1) / m * (n_m - 1)).astype(int).tolist()
         cell_text[level] = list(map(text.__getitem__, k_rep))
         labels.update(map(label.__getitem__, k_rep))
+    out.emit("informed_map.csv", write_csv, ("i_C", "i_D", "x", "y", "N", "d_cd", "d_do", "d_co",
+                                             "sign_cd", "sign_do", "sign_co", "label", "x_dot", "y_dot"),
+             _state_rows(z, i_c, i_m - i_c, cell_text, x_dot, y_dot))
     label_counts = {label or "none": count for label, count in labels.items()}
-    written: list[Path] = []
-    if "csv" in cfg.formats:
-        path = cfg.out_dir / "informed_map.csv"
-        write_csv(path, ("i_C", "i_D", "x", "y", "N", "d_cd", "d_do", "d_co",
-                         "sign_cd", "sign_do", "sign_co", "label",
-                         "x_dot", "y_dot"), _state_rows(z, i_c, i_m - i_c, cell_text, x_dot, y_dot))
-        written.append(path)
-    if "json" in cfg.formats:
-        path = cfg.out_dir / "informed_summary.json"
-        write_json(path, {"alpha": params.alpha, "z": z, "label_counts": label_counts})
-        written.append(path)
-    return written
+    out.emit("informed_summary.json", write_json, {"alpha": params.alpha, "z": z, "label_counts": label_counts})
 
 
-def _run_k_profile(cfg: ExperimentConfig) -> list[Path]:
+def _run_k_profile(cfg: ExperimentConfig, out: _Outputs) -> None:
     """K_exact, K_dropped and <R>(eps1 + eps2) along the slice i_c = 1..i_m - 1 at y_slice.
 
     Each alpha reads its slice in one `replicator_field_grid` call and one
@@ -419,17 +385,9 @@ def _run_k_profile(cfg: ExperimentConfig) -> list[Path]:
         summary["alpha"].append(alpha)
         summary["max_abs_k_exact"].append(float(np.max(np.abs(k_exact))))
         summary["k_exact_mid"].append(k_exact[len(k_exact) // 2].item())
-    written: list[Path] = []
-    if "csv" in cfg.formats:
-        path = cfg.out_dir / "k_profile.csv"
-        write_csv(path, ("alpha", "i_C", "i_M", "N", "x", "y",
-                         "k_exact", "k_dropped", "r_term"), rows)
-        written.append(path)
-    if "json" in cfg.formats:
-        path = cfg.out_dir / "k_profile_summary.json"
-        write_json(path, summary)
-        written.append(path)
-    return written
+    out.emit("k_profile.csv", write_csv,
+             ("alpha", "i_C", "i_M", "N", "x", "y", "k_exact", "k_dropped", "r_term"), rows)
+    out.emit("k_profile_summary.json", write_json, summary)
 
 
 def _matched_members(params: GameParams, target: int) -> int:
@@ -450,7 +408,7 @@ def _matched_members(params: GameParams, target: int) -> int:
     return best_i_m
 
 
-def _run_s1_compare(cfg: ExperimentConfig) -> list[Path]:
+def _run_s1_compare(cfg: ExperimentConfig, out: _Outputs) -> None:
     """Uninformed vs informed cooperator flow along a matched-size slice.
 
     The k column is the information-cost term on the flow scale,
@@ -487,54 +445,22 @@ def _run_s1_compare(cfg: ExperimentConfig) -> list[Path]:
         })
         orderings.append(tuple(np.argsort(max_gaps)))
     summary["ordering_consistent"] = len(set(orderings)) == 1
-    written: list[Path] = []
-    if "csv" in cfg.formats:
-        path = cfg.out_dir / "s1_compare.csv"
-        write_csv(path, ("z", "alpha", "i_M", "N", "i_C", "x",
-                         "x_dot_uninformed", "x_dot_informed", "k"), rows)
-        written.append(path)
-    if "json" in cfg.formats:
-        path = cfg.out_dir / "s1_summary.json"
-        write_json(path, summary)
-        written.append(path)
-    return written
+    out.emit("s1_compare.csv", write_csv, ("z", "alpha", "i_M", "N", "i_C", "x",
+                                           "x_dot_uninformed", "x_dot_informed", "k"), rows)
+    out.emit("s1_summary.json", write_json, summary)
 
 
-def _run_montecarlo(cfg: ExperimentConfig) -> list[Path]:
+def _run_montecarlo(cfg: ExperimentConfig, out: _Outputs) -> None:
     result = monte_carlo(cfg.params, cfg.steps, cfg.seed, burn_in=cfg.burn_in)
     index = result.index
-    written: list[Path] = []
-    if "csv" in cfg.formats:
-        path = cfg.out_dir / "occupancy.csv"
-        write_csv(path, ("i_C", "i_D", "x", "y", "occupancy"),
-                  _state_rows(index.z, index.i_c_of, index.i_d_of, result.occupancy))
-        written.append(path)
-
-        path = cfg.out_dir / "trajectory.csv"
-        write_csv(path, ("step", "i_C", "i_D"), result.trajectory.tolist())
-        written.append(path)
-    if "json" in cfg.formats:
-        occ_summary = _summarize(index, result.occupancy)
-        path = cfg.out_dir / "montecarlo_summary.json"
-        write_json(path, {
-            "steps": result.steps,
-            "burn_in": result.burn_in,
-            "seed": result.seed,
-            "mean_x": _json_safe(occ_summary.mean_x),
-            "std_x": _json_safe(occ_summary.std_x),
-            "mean_y": occ_summary.mean_y,
-            "std_y": occ_summary.std_y,
-            "member_mass": occ_summary.member_mass,
-        })
-        written.append(path)
-    if "svg" in cfg.formats:
-        path = cfg.out_dir / "occupancy.svg"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(simplex_svg(
-                cfg.params.z, label=f"{result.steps} steps, seed {result.seed}",
-                shade=(index.i_c_of, index.i_d_of, result.occupancy)))
-        written.append(path)
-    return written
+    out.emit("occupancy.csv", write_csv, ("i_C", "i_D", "x", "y", "occupancy"),
+             _state_rows(index.z, index.i_c_of, index.i_d_of, result.occupancy))
+    out.emit("trajectory.csv", write_csv, ("step", "i_C", "i_D"), result.trajectory.tolist())
+    out.emit("montecarlo_summary.json", write_json, {
+        "steps": result.steps, "burn_in": result.burn_in, "seed": result.seed,
+        **_moments(_summarize(index, result.occupancy))})
+    out.emit("occupancy.svg", write_svg, cfg.params.z, label=f"{result.steps} steps, seed {result.seed}",
+             shade=(index.i_c_of, index.i_d_of, result.occupancy))
 
 
 _HANDLERS = {
@@ -554,16 +480,17 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc.strerror}") from None
-    outputs = _HANDLERS[cfg.experiment](cfg)
+    out = _Outputs(cfg)
+    _HANDLERS[cfg.experiment](cfg, out)
     manifest_path = cfg.out_dir / "manifest.json"
     manifest = RunManifest(
         config=_config_echo(cfg),
         version=__version__,
         created=datetime.now(timezone.utc).isoformat(),
-        outputs={path.name: _sha256(path) for path in outputs},
+        outputs={path.name: _sha256(path) for path in out.written},
         path=manifest_path,
     )
-    write_json(manifest_path, {
+    _write(manifest_path, write_json, {
         "config": manifest.config,
         "version": manifest.version,
         "created": manifest.created,

