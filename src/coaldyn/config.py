@@ -149,7 +149,6 @@ def _keys(cls, home: str) -> dict[str, dict[str, tuple[str, type, bool]]]:
 
 _SECTIONS = {**_keys(GameParams, "game"), **_keys(ExperimentConfig, "experiment")}
 _SECTIONS["game"]["g_m_seats"] = ("g_m_seats", int, False)  # g_m as a seat count, z * g_m
-_EXPERIMENT_KEYS = set(_SECTIONS["experiment"])
 
 
 def _parse(section: str, key: str, raw: str, kind: type):
@@ -183,13 +182,17 @@ def _read_section(cp: configparser.ConfigParser, section: str, keys: dict, **giv
     return kwargs
 
 
+def _benefit_keys(kind: str) -> tuple[str, ...]:
+    """The ``[benefit]`` keys of a benefit ``kind``: ``kind`` and the arguments of its constructor."""
+    return ("kind", *signature(getattr(BenefitFunction, kind)).parameters)
+
+
 def _build_benefit(cp: configparser.ConfigParser, base_dir: Path) -> BenefitFunction:
     kind = cp.get("benefit", "kind", fallback="sigmoid")
     if kind not in _BENEFIT_KINDS:
         raise ConfigError(f"unknown benefit kind {kind!r}; expected one of {', '.join(_BENEFIT_KINDS)}")
     # A tabulated benefit's knots are a CSV path; every other argument is a number.
-    keys = {key: (key, str if key in ("kind", "knots") else float, False)
-            for key in ("kind", *signature(getattr(BenefitFunction, kind)).parameters)}
+    keys = {key: (key, str if key in ("kind", "knots") else float, False) for key in _benefit_keys(kind)}
     kwargs = _read_section(cp, "benefit", keys)
     kwargs.pop("kind", None)
     try:

@@ -50,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import _SECTIONS, ExperimentConfig
+from .config import _SECTIONS, ExperimentConfig, _benefit_keys
 from .errors import ConfigError, OutputError
 from .game import GameParams, effective_shares, group_size
 from .informed import gains_on_grid, informed_field_grid
@@ -142,13 +142,16 @@ def _echo(value):
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    """The resolved config by section: its `[experiment]` and `[output]` keys are those the loader reads."""
+    """The resolved config by section, with the `[benefit]`, `[experiment]` and `[output]` keys the loader reads.
+
+    A tabulated benefit echoes its knots as (C, B) pairs, since the CSV path is not kept.
+    """
     params = dataclasses.asdict(cfg.params)
-    benefit = params.pop("benefit")
-    benefit["knots"] = [list(k) for k in benefit.get("knots", ())]
+    del params["benefit"]
+    benefit = cfg.params.benefit
     echo = {
         "game": params,
-        "benefit": benefit,
+        "benefit": {key: _echo(getattr(benefit, key)) for key in _benefit_keys(benefit.kind)},
         "notes": [
             "theta and theta_prime default to 1 by decision; set them in [game] to override",
             "x-summaries restrict to states with at least one member and renormalize",

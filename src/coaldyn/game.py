@@ -48,13 +48,14 @@ class GameParams:
     e : club fraction of the benefit kept inside the working group, in [0, 1]
     theta : congestibility of the public spillover share, in [0, 1]
     theta_prime : congestibility of the club share, in [0, 1]
-    c : per-cooperator contribution, > 0
-    c_c : coalition membership fee, >= 0
+    c : per-cooperator contribution, > 0 and finite
+    c_c : coalition membership fee, >= 0 and finite
     g_m : guaranteed coalition footprint as a fraction of Z; Z*g_m >= 2
         so a coalition always has at least two seats
     alpha : coalition growth exponent, >= 1; alpha = 1 means the working
-        group is always the whole coalition
-    beta : imitation selection strength, >= 0
+        group is always the whole coalition and alpha = inf the
+        step-growth limit
+    beta : imitation selection strength, >= 0 and finite
     mu : exploration (mutation) probability, in [0, 1]
     benefit : BenefitFunction handle used for all payoff evaluations
     """
@@ -80,10 +81,10 @@ class GameParams:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if not 0.0 <= self.theta_prime <= 1.0:
             raise ValueError(f"theta_prime must lie in [0, 1], got {self.theta_prime}")
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
-        if self.c_c < 0:
-            raise ValueError(f"c_c must be non-negative, got {self.c_c}")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c}")
+        if not 0.0 <= self.c_c < math.inf:
+            raise ValueError(f"c_c must be non-negative and finite, got {self.c_c}")
         if not 0.0 < self.g_m <= 1.0:
             raise ValueError(f"g_m must lie in (0, 1], got {self.g_m}")
         if self.z * self.g_m < 2.0 - 1e-12:
@@ -91,10 +92,10 @@ class GameParams:
                 f"z * g_m must be at least 2 (a coalition needs two seats), "
                 f"got {self.z * self.g_m:.3f}"
             )
-        if self.alpha < 1.0:
+        if not self.alpha >= 1.0:  # alpha = inf, the step-growth limit, is allowed
             raise ValueError(f"alpha must be at least 1, got {self.alpha}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be non-negative, got {self.beta}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be non-negative and finite, got {self.beta}")
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
         if not isinstance(self.benefit, BenefitFunction):

@@ -24,7 +24,9 @@ of `BLOCK_ROWS` states at a time, and the pointwise `replicator_field`
 and `information_cost` read it at one state.  mean_R and mean_b come
 from the fitness table's level draws.  The module also locates and
 classifies rest points of the field interpolated off the integer state
-grid.
+grid.  Both steps of that search read one central-difference
+linearisation, `_linearise`: the Newton polish with step 1/(4z) and the
+classification with step 1/z.
 """
 
 from __future__ import annotations
@@ -263,47 +265,53 @@ class _InterpolatedField:
     of the integer grid, which is the point of interpolating at all.
     The outsider formula is evaluated hypothetically where no outsider
     exists.  Rows for coalitions of fewer than two members carry zero
-    fitness (no group convenes).  Each row i_m >= 2 is a copy of the
-    table's level i_m, the i_m + 1 nodes read, not of the whole grid row.
+    fitness (no group convenes).  Levels are read when evaluated: row
+    i_m >= 2 is built from the table's level i_m, the i_m + 1 nodes
+    read, so a search builds only the levels it reads.
     """
 
     def __init__(self, params: GameParams):
-        self.params = params
-        z = params.z
-        self.z = z
-        table = fitness_table(params)
-        self.rows = [None, None]
-        for i_m in range(2, z + 1):
-            fc, fd, _ = row = table.level(i_m).copy()
-            fc[0] = fd[0] + (fc[1] - fd[1])
-            fd[i_m] = fc[i_m] - (fc[i_m - 1] - fd[i_m - 1])
-            self.rows.append(row)
-        self.rows[z][2] = table.f_o_full
-        self.nodes = [None, None] + [np.arange(i_m + 1) / i_m for i_m in range(2, z + 1)]
+        self.z = params.z
+        self.table = fitness_table(params)
 
     def _row_eval(self, i_m: int, x):
         """Row i_m's (f_C, f_D, f_O) at x, a float or an array of them."""
         if i_m < 2:
             return 0.0, 0.0, 0.0
-        return tuple(np.interp(x, self.nodes[i_m], f) for f in self.rows[i_m])
+        fc, fd, _ = row = self.table.level(i_m).copy()
+        fc[0] = fd[0] + (fc[1] - fd[1])
+        fd[i_m] = fc[i_m] - (fc[i_m - 1] - fd[i_m - 1])
+        if i_m == self.z:
+            row[2] = self.table.f_o_full
+        nodes = np.arange(i_m + 1) / i_m
+        return tuple(np.interp(x, nodes, f) for f in row)
 
-    def fitness_values(self, x, y: float) -> tuple[float, float, float]:
-        """Interpolated (f_C, f_D, f_O) at (x, y); x may be an array, y is one float."""
+    def reduced(self, x, y: float) -> tuple[float, float]:
+        """(f_C - f_D, mixed member fitness - f_O) of the interpolated fitness at (x, y).
+
+        Zero at interior rest points; x may be an array, y is one float.
+        """
         t = y * self.z
         j0 = int(min(max(np.floor(t), 0), self.z - 1))
         frac = t - j0
-        lo = self._row_eval(j0, x)
-        hi = self._row_eval(j0 + 1, x)
-        return tuple((1.0 - frac) * a + frac * b for a, b in zip(lo, hi))
-
-    def reduced(self, x, y: float) -> tuple[float, float]:
-        """(f_C - f_D, mixed member fitness - f_O): zero at interior rest points; x as above."""
-        fc, fd, fo = self.fitness_values(x, y)
+        fc, fd, fo = ((1.0 - frac) * a + frac * b
+                      for a, b in zip(self._row_eval(j0, x), self._row_eval(j0 + 1, x)))
         return fc - fd, x * fc + (1.0 - x) * fd - fo
 
     def field(self, x: float, y: float) -> tuple[float, float]:
         g1, g2 = self.reduced(x, y)
         return x * (1.0 - x) * g1, y * (1.0 - y) * g2
+
+
+def _linearise(fn, x: float, y: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """fn at (x, y) and its central-difference Jacobian of step h, as arrays.
+
+    fn maps (x, y) to a pair and takes an array of x at one y, so the
+    x-stencil (x, x + h, x - h) is one call and the y-stencil two.
+    """
+    at = np.array(fn(np.array([x, x + h, x - h]), y))
+    up, down = np.array(fn(x, y + h)), np.array(fn(x, y - h))
+    return at[:, 0], np.column_stack(((at[:, 1] - at[:, 2]) / (2.0 * h), (up - down) / (2.0 * h)))
 
 
 @dataclass(frozen=True)
@@ -343,38 +351,27 @@ def find_fixed_points(params: GameParams, grid_resolution: int = 40) -> list[Fix
     A coarse scan over a grid_resolution x grid_resolution mesh flags
     cells where both reduced fitness gaps change sign; each candidate
     is polished by damped Newton iteration on the reduced system and
-    kept once the full field residual drops below 1e-8.  The Jacobian
-    for classification uses central differences with step 1/z, one
-    state-grid cell.  Results do not depend on grid_resolution once it
-    is fine enough to isolate the basins (doubling it must reproduce
-    the same points).
+    kept once the full field residual drops below 1e-8.  Both steps
+    read one linearisation, `_linearise`: Newton on the reduced gaps
+    with step 1/(4z), inside one state-grid cell, and the classification
+    on the field with step 1/z, one state-grid cell.  Results do not
+    depend on grid_resolution once it is fine enough to isolate the
+    basins (doubling it must reproduce the same points).
     """
     interp = _InterpolatedField(params)
     z = params.z
     xs = np.linspace(1e-3, 1.0 - 1e-3, grid_resolution + 1)
     ys = np.linspace(2.0 / z + 1e-9, 1.0 - 1e-3, grid_resolution + 1)
-    g1 = np.empty((len(ys), len(xs)))
-    g2 = np.empty((len(ys), len(xs)))
-    for a, yy in enumerate(ys):
-        g1[a], g2[a] = interp.reduced(xs, yy)
+    gaps = np.array([interp.reduced(xs, yy) for yy in ys]).swapaxes(0, 1)  # (g1, g2) by (y, x)
+    corners = np.stack([gaps[:, :-1, :-1], gaps[:, :-1, 1:], gaps[:, 1:, :-1], gaps[:, 1:, 1:]])
+    # A candidate cell: both gaps take both signs, or a zero, at its four corners.
+    candidates = ~((corners.min(axis=0) > 0) | (corners.max(axis=0) < 0)).any(axis=0)
 
     def newton(x0: float, y0: float):
         pt = np.array([x0, y0])
         h = 1.0 / (4.0 * z)  # FD step well inside one state-grid cell
-
-        def x_stencil(p):
-            # reduced at (x, y), (x + h, y) and (x - h, y) in one call.
-            g1_s, g2_s = interp.reduced(np.array([p[0], p[0] + h, p[0] - h]), p[1])
-            return np.array([g1_s, g2_s])
-
-        at = x_stencil(pt)
+        f0, jac = _linearise(interp.reduced, pt[0], pt[1], h)
         for _ in range(60):
-            f0 = at[:, 0]
-            jac = np.empty((2, 2))
-            jac[:, 0] = (at[:, 1] - at[:, 2]) / (2.0 * h)
-            fp = np.array(interp.reduced(pt[0], pt[1] + h))
-            fm = np.array(interp.reduced(pt[0], pt[1] - h))
-            jac[:, 1] = (fp - fm) / (2.0 * h)
             try:
                 step = np.linalg.solve(jac, -f0)
             except np.linalg.LinAlgError:
@@ -383,47 +380,27 @@ def find_fixed_points(params: GameParams, grid_resolution: int = 40) -> list[Fix
             norm = float(np.max(np.abs(step)))
             if norm > limit:
                 step *= limit / norm
-            nxt = pt + step
-            if not (0.0 < nxt[0] < 1.0 and 2.0 / z < nxt[1] < 1.0):
+            pt = pt + step
+            if not (0.0 < pt[0] < 1.0 and 2.0 / z < pt[1] < 1.0):
                 return None
-            pt = nxt
-            at = x_stencil(pt)
-            # The field at pt, (x (1 - x) g1, y (1 - y) g2), from the next stencil's centre.
-            if float(np.max(np.abs(pt * (1.0 - pt) * at[:, 0]))) < 1e-10:
+            f0, jac = _linearise(interp.reduced, pt[0], pt[1], h)
+            # The field at pt, (x (1 - x) g1, y (1 - y) g2), from the reduced gaps there.
+            if float(np.max(np.abs(pt * (1.0 - pt) * f0))) < 1e-10:
                 break
         return pt
 
     found: list[FixedPoint] = []
-    for a in range(len(ys) - 1):
-        for b in range(len(xs) - 1):
-            c1 = g1[a : a + 2, b : b + 2]
-            c2 = g2[a : a + 2, b : b + 2]
-            if c1.min() > 0 or c1.max() < 0 or c2.min() > 0 or c2.max() < 0:
-                continue
-            sol = newton(0.5 * (xs[b] + xs[b + 1]), 0.5 * (ys[a] + ys[a + 1]))
-            if sol is None:
-                continue
-            residual = float(np.max(np.abs(np.array(interp.field(sol[0], sol[1])))))
-            if residual >= 1e-8:
-                continue
-            if any(abs(fp.x - sol[0]) < 2e-6 and abs(fp.y - sol[1]) < 2e-6 for fp in found):
-                continue
-            hj = 1.0 / z
-            jac = np.empty((2, 2))
-            for col, dv in enumerate(((hj, 0.0), (0.0, hj))):
-                fp_v = np.array(interp.field(sol[0] + dv[0], sol[1] + dv[1]))
-                fm_v = np.array(interp.field(sol[0] - dv[0], sol[1] - dv[1]))
-                jac[:, col] = (fp_v - fm_v) / (2.0 * hj)
-            eigs, kind = _classify(jac)
-            found.append(
-                FixedPoint(
-                    x=float(sol[0]),
-                    y=float(sol[1]),
-                    residual=residual,
-                    jacobian=((jac[0, 0], jac[0, 1]), (jac[1, 0], jac[1, 1])),
-                    eigenvalues=eigs,
-                    kind=kind,
-                )
-            )
+    for a, b in np.argwhere(candidates):  # row-major: by y, then by x
+        sol = newton(0.5 * (xs[b] + xs[b + 1]), 0.5 * (ys[a] + ys[a + 1]))
+        if sol is None:
+            continue
+        at, jac = _linearise(interp.field, sol[0], sol[1], 1.0 / z)
+        residual = float(np.max(np.abs(at)))
+        if residual >= 1e-8 or any(abs(fp.x - sol[0]) < 2e-6 and abs(fp.y - sol[1]) < 2e-6 for fp in found):
+            continue
+        eigs, kind = _classify(jac)
+        found.append(FixedPoint(x=float(sol[0]), y=float(sol[1]), residual=residual,
+                                jacobian=((jac[0, 0], jac[0, 1]), (jac[1, 0], jac[1, 1])),
+                                eigenvalues=eigs, kind=kind))
     found.sort(key=lambda fp: (fp.y, fp.x))
     return found

@@ -1,7 +1,6 @@
 """Config parsing, experiment dispatch, deterministic emission, CLI exit codes."""
 
 import dataclasses
-import inspect
 import json
 import math
 import os
@@ -16,11 +15,11 @@ import numpy as np
 import pytest
 
 import coaldyn
-from coaldyn import (BenefitFunction, CapacityError, CoaldynError, ConfigError, NonConvergenceError,
+from coaldyn import (CapacityError, CoaldynError, ConfigError, NonConvergenceError,
                      OutputError, ReducibleChainError, WorkerError, classify_state, experiments,
                      marginal_gains, markov)
 from coaldyn.cli import main
-from coaldyn.config import _EXPERIMENT_KEYS, ExperimentConfig, load_config
+from coaldyn.config import _SECTIONS, ExperimentConfig, load_config
 from coaldyn.game import effective_shares, group_size
 from coaldyn.informed import informed_field_grid
 from coaldyn.replicator import BLOCK_ROWS, replicator_field_grid
@@ -205,7 +204,7 @@ def test_experiment_keys_name_the_config_fields_and_the_echo(tmp_path):
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"params", "out_dir", "formats"}
     fields = {"name" if key == "experiment" else key for key in fields}
     echo = _config_echo(load_config(write_cfg(tmp_path)))["experiment"]
-    assert fields == _EXPERIMENT_KEYS == set(echo)
+    assert fields == set(_SECTIONS["experiment"]) == set(echo)
 
 
 SHIPPED_CONFIGS = sorted([*(Path(__file__).parents[1] / "scripts" / "configs").glob("*.cfg"),
@@ -216,19 +215,24 @@ SHIPPED_CONFIGS = sorted([*(Path(__file__).parents[1] / "scripts" / "configs").g
 def test_config_echo_loads_back_as_the_same_config(tmp_path, path):
     """Every shipped config loads, and its manifest echo, written back out as INI,
     loads as an equal config: every key the echo writes is a key the loader reads.
-
-    The echo lists every benefit field; the INI takes those of the benefit's kind.
     """
     cfg = load_config(path)
     echo = json.loads(json.dumps(_config_echo(cfg)))  # as manifest.json holds it
     del echo["notes"]
-    kind = echo["benefit"]["kind"]
-    echo["benefit"] = {key: echo["benefit"][key]
-                       for key in ("kind", *inspect.signature(getattr(BenefitFunction, kind)).parameters)}
     text = "".join(f"[{section}]\n" + "".join(
         f"{key} = {', '.join(map(str, value)) if isinstance(value, list) else value}\n"
         for key, value in keys.items()) for section, keys in echo.items())
     assert load_config(write_cfg(tmp_path, text)) == cfg
+
+
+def test_benefit_echo_lists_the_keys_of_its_kind(tmp_path):
+    (tmp_path / "knots.csv").write_text("C,B\n0,0\n20,10\n")
+    sigmoid = "kind = sigmoid\namplitude = 100\nsteepness = 100\nthreshold = 0.75"
+    for benefit, want in [("kind = linear\nslope = 2", {"kind": "linear", "slope": 2.0}),
+                          ("kind = tabulated\nknots = knots.csv",  # the knots, not the CSV path
+                           {"kind": "tabulated", "knots": [[0.0, 0.0], [20.0, 10.0]]})]:
+        cfg = load_config(write_cfg(tmp_path, BASE.replace(sigmoid, benefit)))
+        assert json.loads(json.dumps(_config_echo(cfg)))["benefit"] == want
 
 
 # --- deterministic emission ---------------------------------------------------
@@ -937,6 +941,23 @@ def test_cli_unusable_parameter_sets_are_config_errors(tmp_path, capsys, changes
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: config: ") and key in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("changes", [
+    *(((f"{name} = {value}", f"{name} = nan"),) for name, value in
+      (("alpha", "2.0"), ("beta", "0.1"), ("c", "1.0"), ("c_c", "1.0"))),
+    (("name = stationary", "name = sweep-alpha"), ("values = 1, 2", "values = 2 nan")),
+], ids=["alpha", "beta", "c", "c_c", "sweep-values"])
+def test_cli_nan_parameters_are_config_errors(tmp_path, capsys, changes):
+    text = BASE
+    for change in changes:
+        text = text.replace(*change)
+    key = changes[-1][1].split()[0]  # the key the last change sets to nan
+    code = main(["run", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: config: ") and key in err[0], err
     assert not (tmp_path / "out").exists()
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from coaldyn import BenefitFunction, GameParams, find_fixed_points
 from coaldyn.replicator import _InterpolatedField
+from coaldyn.sampling import FitnessTable, fitness_table
 
 SIGMOID = BenefitFunction.sigmoid()
 
@@ -123,3 +124,71 @@ def test_reduced_on_an_x_array_matches_scalar_calls_bitwise():
             scalar = [interp.reduced(float(x), y) for x in xs]
             assert g1.tobytes() == np.array([s[0] for s in scalar]).tobytes(), (alpha, y)
             assert g2.tobytes() == np.array([s[1] for s in scalar]).tobytes(), (alpha, y)
+
+
+# Every field of every rest point at grid_resolution 40, as the search gave them:
+# (x, y, residual, jacobian by rows, eigenvalues, kind), by (z, alpha).
+PINNED = {
+    (100, 2.0): [
+        (0.6064134373088061, 0.05750843594294474, 4.221300431840031e-11,
+         ((2.2419731131477247, 19.48250914148672), (1.3282281070903332, 3.590823773838042)),
+         ((-2.215079488309824+0j), (8.04787637529559+0j)), "saddle"),
+        (0.7321063628521576, 0.25427905554312963, 6.800387050562626e-12,
+         ((0.766467532741747, -1.8362761366566664), (2.9066720001209756, -2.1520161759432836)),
+         ((-0.6927743216007682-1.791107378535767j), (-0.6927743216007682+1.791107378535767j)), "stable-spiral"),
+    ],
+    (100, 4.0): [
+        (0.6064134373088061, 0.05750843594294474, 4.221300431840031e-11,
+         ((2.2419731131477247, 19.48250914148672), (1.3282281070903332, 3.590823773838042)),
+         ((-2.215079488309824+0j), (8.04787637529559+0j)), "saddle"),
+        (0.7204363143155663, 0.51903685811405, 4.725514751220383e-11,
+         ((0.6362770263350183, -1.4738916755041775), (3.075727132543567, 0.5325174428956911)),
+         ((0.5843972346153549-2.1285199327207214j), (0.5843972346153549+2.1285199327207214j)), "unstable-spiral"),
+    ],
+    (100, 8.0): [
+        (0.6064134373088061, 0.05750843594294474, 4.221300431840031e-11,
+         ((2.2419731131477247, 19.48250914148672), (1.3282281070903332, 3.590823773838042)),
+         ((-2.215079488309824+0j), (8.04787637529559+0j)), "saddle"),
+        (0.7194114536380023, 0.7240760768702927, 1.888378391544332e-11,
+         ((0.5587887831085068, -2.019674517811242), (2.399149920582881, -1.1651373830106668)),
+         ((-0.30317429995108003-2.025468242765737j), (-0.30317429995108003+2.025468242765737j)), "stable-spiral"),
+    ],
+    (200, 4.0): [
+        (0.7071247904868655, 0.10023911599189422, 7.828718041627585e-11,
+         ((0.8146562312631378, 1.333995293609125), (1.5525854686502258, 0.2945659757124161)),
+         ((-0.9078406654895876+0j), (2.0170628724651416+0j)), "saddle"),
+    ],
+}
+
+
+@pytest.mark.parametrize("z, alpha", list(PINNED))
+def test_rest_points_are_pinned(z, alpha):
+    """Each field to 1e-12 relative: a rewrite of the search must not move a rest point."""
+    got = find_fixed_points(params(z=z, alpha=alpha), 40)
+    assert [fp.kind for fp in got] == [want[-1] for want in PINNED[z, alpha]]
+    for fp, (x, y, residual, jacobian, eigenvalues, _) in zip(got, PINNED[z, alpha]):
+        assert (fp.x, fp.y, fp.residual) == pytest.approx((x, y, residual), rel=1e-12, abs=0)
+        assert np.ravel(fp.jacobian).tolist() == pytest.approx(np.ravel(jacobian).tolist(), rel=1e-12, abs=0)
+        assert fp.eigenvalues == pytest.approx(eigenvalues, rel=1e-12, abs=0)
+
+
+def test_a_cold_search_builds_only_the_levels_it_reads(monkeypatch):
+    """The interpolated field reads each fitness level when it evaluates that row, not up front."""
+    built, read = [], set()
+    store, row_eval = FitnessTable._store, _InterpolatedField._row_eval
+
+    def spy_store(self, i_m, raw):
+        built.append(i_m)
+        return store(self, i_m, raw)
+
+    def spy_row_eval(self, i_m, x):
+        read.add(i_m)
+        return row_eval(self, i_m, x)
+
+    monkeypatch.setattr(FitnessTable, "_store", spy_store)
+    monkeypatch.setattr(_InterpolatedField, "_row_eval", spy_row_eval)
+    fitness_table.cache_clear()
+    z = 200
+    assert find_fixed_points(params(z=z, alpha=4.0), 40)
+    assert len(built) == len(set(built)) < z - 1
+    assert set(built) <= read

@@ -43,6 +43,25 @@ def test_param_validation():
         params(mu=1.5)
 
 
+@pytest.mark.parametrize("name, value", [
+    *((name, math.nan) for name in ("e", "theta", "theta_prime", "c", "c_c", "g_m", "alpha", "beta", "mu")),
+    *((name, sign * math.inf) for name in ("c", "c_c", "beta") for sign in (1, -1)),
+])
+def test_param_validation_rejects_nan_and_infinite_values(name, value):
+    """A NaN fails every range check, and only alpha may be infinite."""
+    with pytest.raises(ValueError, match=rf"^{name} must"):
+        params(**{name: value})
+
+
+def test_alpha_infinity_is_the_step_growth_limit():
+    """Groups keep the guaranteed footprint until the coalition is everyone; the chain solves."""
+    from coaldyn import build_chain, stationary
+
+    p = params(z=30, alpha=math.inf, g_m=0.1)
+    assert [group_size(p, i_m) for i_m in (2, 3, 15, 29, 30)] == [2, 3, 3, 3, 30]
+    assert stationary(build_chain(p)).residual < 1e-12
+
+
 def test_state_derived_quantities():
     s = PopulationState(i_c=3, i_d=5, z=20)
     assert s.i_m == 8 and s.i_o == 12
