@@ -106,6 +106,15 @@ class ExperimentConfig:
         if any(z < 4 for z in self.z_pair) or len(self.z_pair) != 2:
             raise ConfigError(f"key 'z_pair' in [experiment] needs two population sizes >= 4, "
                               f"got {self.z_pair}")
+        if self.experiment == "sweep-alpha":
+            # Each panel's files are tagged f"alpha{alpha:g}": two values with one tag
+            # would write the same files.
+            tags = [f"{alpha:g}" for alpha in self.values]
+            for j, tag in enumerate(tags):
+                if tag in tags[:j]:
+                    raise ConfigError(f"key 'values' in [experiment]: sweep values "
+                                      f"{self.values[tags.index(tag)]!r} and {self.values[j]!r} "
+                                      f"both write stationary_alpha{tag}.csv")
         # Build every parameter set the run will use, so that a bad one is a
         # ConfigError here and not a ValueError partway through the run.
         used = [self.params]

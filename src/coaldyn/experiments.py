@@ -79,15 +79,22 @@ def write_svg(path: Path, z: int, **panel) -> None:
     path.write_text(simplex_svg(z, **panel), encoding="utf-8", newline="")
 
 
-def _json_safe(value):
+def _finite_json(value):
+    """``value`` with NaN as None and +-inf as the strings "inf" and "-inf", in dicts and lists too."""
     if isinstance(value, float) and not math.isfinite(value):
-        return None
+        return None if math.isnan(value) else str(value)
+    if isinstance(value, dict):
+        return {key: _finite_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(item) for item in value]
     return value
 
 
 def write_json(path: Path, payload) -> None:
+    """Strict JSON: a NaN is written null (an x-moment with no member), and +-inf
+    as "inf" or "-inf" (alpha = inf), which `load_config` reads back as numbers."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+        fh.write(json.dumps(_finite_json(payload), indent=2, sort_keys=True, allow_nan=False))
         fh.write("\n")
 
 
@@ -214,11 +221,6 @@ def _simplex_arrows(z: int, i_c, i_d, d_c, d_d, speed):
     yield from zip(*(np.asarray(col)[keep].tolist() for col in (i_c, i_d, d_c, d_d, speed)))
 
 
-def _moments(summary) -> dict:
-    """The `markov.StationarySummary` fields as JSON values: x-moments are null where no member exists."""
-    return {key: _json_safe(value) for key, value in dataclasses.asdict(summary).items()}
-
-
 def _stationary_outputs(cfg: ExperimentConfig, out: _Outputs, params: GameParams, tag: str,
                         with_gradient: bool) -> dict:
     """Writes the stationary law at ``params``, and its gradient if asked, to files
@@ -236,7 +238,7 @@ def _stationary_outputs(cfg: ExperimentConfig, out: _Outputs, params: GameParams
         arrows = _simplex_arrows(params.z, index.i_c_of, index.i_d_of, grad.drift_c, grad.drift_d, grad.speed)
     out.emit(f"panel{tag}.svg", write_svg, params.z, arrows=arrows, label=f"alpha = {params.alpha:g}",
              shade=(index.i_c_of, index.i_d_of, result.pi))
-    return {"alpha": params.alpha, **_moments(result.summary), "residual": result.residual,
+    return {"alpha": params.alpha, **dataclasses.asdict(result.summary), "residual": result.residual,
             "iterations": result.iterations, "method": result.method}
 
 
@@ -461,7 +463,7 @@ def _run_montecarlo(cfg: ExperimentConfig, out: _Outputs) -> None:
     out.emit("trajectory.csv", write_csv, ("step", "i_C", "i_D"), result.trajectory.tolist())
     out.emit("montecarlo_summary.json", write_json, {
         "steps": result.steps, "burn_in": result.burn_in, "seed": result.seed,
-        **_moments(_summarize(index, result.occupancy))})
+        **dataclasses.asdict(_summarize(index, result.occupancy))})
     out.emit("occupancy.svg", write_svg, cfg.params.z, label=f"{result.steps} steps, seed {result.seed}",
              shade=(index.i_c_of, index.i_d_of, result.occupancy))
 

@@ -100,8 +100,10 @@ class StateIndex:
 def fitness_tables(params: GameParams, index: StateIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Average fitness of C, D, O at every composition, as flat arrays.
 
-    Read from the parameter set's `fitness_table` under `fitness_at`'s zero
-    conventions.
+    Read from the parameter set's `fitness_table`.  The chain and the
+    simulator read only the fitness of strategies that are played, so the
+    table's entries for the unplayed ones (f_o at i_m = z holds the outsider
+    formula) never reach a move probability.
     """
     i_m = index.i_c_of + index.i_d_of
     out = tuple(a[i_m, index.i_c_of] for a in fitness_table(params).grid())
@@ -477,9 +479,7 @@ class SelectionGradient:
 
     ``drift_c``/``drift_d`` are E[delta i_c] and E[delta i_d]; ``speed`` is
     the Euclidean norm of that vector.  ``grad_x``/``grad_y`` map the drift
-    onto the (x, y) coordinates (NaN where x is undefined); ``likely_move``
-    indexes MOVES for the highest-probability move, -1 where no move has
-    positive probability.
+    onto the (x, y) coordinates (NaN where x is undefined).
     """
 
     drift_c: np.ndarray
@@ -487,13 +487,11 @@ class SelectionGradient:
     speed: np.ndarray
     grad_x: np.ndarray
     grad_y: np.ndarray
-    likely_move: np.ndarray
 
 
 def selection_gradient(model: MarkovModel) -> SelectionGradient:
     """Per-state expectation of the one-step composition change."""
-    probs = model.move_probs
-    drift = probs @ MOVE_DELTAS.astype(float)
+    drift = model.move_probs @ MOVE_DELTAS.astype(float)
     drift_c = drift[:, 0]
     drift_d = drift[:, 1]
     speed = np.hypot(drift_c, drift_d)
@@ -508,13 +506,9 @@ def selection_gradient(model: MarkovModel) -> SelectionGradient:
     x = i_c[members] / i_m[members]
     grad_x[members] = (drift_c[members] - x * drift_m[members]) / i_m[members]
 
-    likely = probs.argmax(axis=1).astype(np.int64)
-    likely[probs.max(axis=1) <= 0.0] = -1
-
-    for a in (drift_c, drift_d, speed, grad_x, grad_y, likely):
+    for a in (drift_c, drift_d, speed, grad_x, grad_y):
         a.setflags(write=False)
-    return SelectionGradient(drift_c=drift_c, drift_d=drift_d, speed=speed,
-                             grad_x=grad_x, grad_y=grad_y, likely_move=likely)
+    return SelectionGradient(drift_c=drift_c, drift_d=drift_d, speed=speed, grad_x=grad_x, grad_y=grad_y)
 
 
 # --- individual-based simulator ---------------------------------------------

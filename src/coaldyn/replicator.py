@@ -164,7 +164,9 @@ class FlowField:
     Interior means both member kinds present (i_c >= 1, i_d >= 1);
     there x, x_dot, mean_R, mean_b and K_exact are all defined.
     K_dropped is NaN where its shifted compositions leave the state
-    space (two-member coalitions and the full-coalition row).
+    space (two-member coalitions and the full-coalition row).  On the
+    full-coalition row y_dot is an exact zero that takes the sign of the
+    gap the interpolant uses at y = 1, mixed member fitness - f_O.
     """
 
     params: GameParams
@@ -189,7 +191,8 @@ def replicator_field_grid(params: GameParams, i_m: np.ndarray, i_c: np.ndarray):
     array overhead).  Every state needs i_m >= 1; edge states (i_c = 0 or
     i_m) are allowed.  Each column is a shifted read of the fitness table, which builds only
     the levels from min(i_m) - 1 to max(i_m) + 1.  x_dot and y_dot hold
-    everywhere.  The K columns and the four `InformationCost` components
+    everywhere; y_dot at i_m = z is a zero of the sign of the gap to the
+    outsider formula.  The K columns and the four `InformationCost` components
     mean something only where both member kinds are present; K_dropped is
     NaN where it needs 3 <= i_m < z and the components are not masked.
     `replicator_field` and `information_cost` read this at one state.
@@ -281,8 +284,6 @@ class _InterpolatedField:
         fc, fd, _ = row = self.table.level(i_m).copy()
         fc[0] = fd[0] + (fc[1] - fd[1])
         fd[i_m] = fc[i_m] - (fc[i_m - 1] - fd[i_m - 1])
-        if i_m == self.z:
-            row[2] = self.table.f_o_full
         nodes = np.arange(i_m + 1) / i_m
         return tuple(np.interp(x, nodes, f) for f in row)
 

@@ -22,7 +22,7 @@ H one state reads, and `k-profile` over one whole level.  PMF entries
 are formed from log-factorials so they stay finite and accurate for pools
 of hundreds of players.  `fitness_table` memoises the table of the latest
 parameter set and fills it one level at a time, as levels are first read;
-`fitness_at` reads it.
+`fitness_at` reads it, zeroing the fitness of strategies nobody plays.
 """
 
 from __future__ import annotations
@@ -192,12 +192,13 @@ class FitnessTable:
     """Fitness of one parameter set over the (i_m, i_c) grid.
 
     Row i_m, column i_c of the (3, z+2, z+2) array holds f_c, f_d and f_o
-    at i_c cooperators and i_m - i_c defectors under `fitness_at`'s
-    conventions: f_c without a cooperator, f_d without a defector, f_o of
-    the full coalition and everything in a coalition of fewer than two
-    read 0.  The extra zero row and column keep shifted reads at the edge
-    of the simplex in bounds: [i_m + 1, i_c + 1] at i_m = z, and
-    [.., i_c - 1] at i_c = 0, which wraps to the last column.
+    at i_c cooperators and i_m - i_c defectors as `_level_fitness` computes
+    them: f_c without a cooperator, f_d without a defector and everything
+    in a coalition of fewer than two read 0; f_o at i_m = z, where no
+    outsider exists, is the outsider formula the flow reads at y = 1.  The
+    extra zero row and column keep shifted reads at the edge of the
+    simplex in bounds: [i_m + 1, i_c + 1] at i_m = z, and [.., i_c - 1] at
+    i_c = 0, which wraps to the last column.
 
     A coalition size is computed the first time it is read, so a consumer
     of a few levels pays for those alone; `span` builds a range of them
@@ -213,14 +214,10 @@ class FitnessTable:
         self._read_only = self._f.view()
         self._read_only.setflags(write=False)
         self._built = [True, True] + [False] * (z - 1)
-        self._f_o_full = None
         self._means = None
 
     def _store(self, i_m: int, raw: np.ndarray) -> None:
-        """Write a level's `_level_fitness` into the table under the zero conventions."""
-        if i_m == self.params.z:
-            self._f_o_full = raw[2].copy()
-            raw[2] = 0.0
+        """Write a level's `_level_fitness` into the table."""
         self._f[:, i_m, : i_m + 1] = raw
         self._built[i_m] = True
 
@@ -269,12 +266,6 @@ class FitnessTable:
             self._means = mean_r, mean_b
         return self._means
 
-    @property
-    def f_o_full(self) -> np.ndarray:
-        """The outsider formula at i_m = z, where no outsider exists (row z of f_o reads 0)."""
-        self.level(self.params.z)
-        return self._f_o_full
-
 
 @lru_cache(maxsize=1)
 def fitness_table(params: GameParams) -> FitnessTable:
@@ -290,12 +281,14 @@ def fitness_at(params: GameParams, i_c: int, i_d: int) -> FitnessTriple:
     """Fitness triple at integer composition (i_c, i_d), read from `fitness_table`.
 
     Strategies nobody currently plays get fitness 0 by convention, as
-    does everyone when the coalition has fewer than two members.
+    does everyone when the coalition has fewer than two members.  It is
+    the one reader that zeroes f_o of the full coalition, which the table
+    holds as the outsider formula.
     """
     if i_c < 0 or i_d < 0 or i_c + i_d > params.z:
         raise ValueError(f"composition ({i_c}, {i_d}) invalid for z={params.z}")
     f_c, f_d, f_o = fitness_table(params).level(i_c + i_d)[:, i_c].tolist()
-    return FitnessTriple(f_c, f_d, f_o)
+    return FitnessTriple(f_c, f_d, f_o if i_c + i_d < params.z else 0.0)
 
 
 def fitness(params: GameParams, state: PopulationState) -> FitnessTriple:

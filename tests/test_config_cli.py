@@ -18,13 +18,13 @@ import coaldyn
 from coaldyn import (CapacityError, CoaldynError, ConfigError, NonConvergenceError,
                      OutputError, ReducibleChainError, WorkerError, classify_state, experiments,
                      marginal_gains, markov)
-from coaldyn.cli import main
-from coaldyn.config import _SECTIONS, ExperimentConfig, load_config
+from coaldyn.cli import _build_parser, main
+from coaldyn.config import _SECTIONS, EXPERIMENTS, ExperimentConfig, load_config
 from coaldyn.game import effective_shares, group_size
 from coaldyn.informed import informed_field_grid
 from coaldyn.replicator import BLOCK_ROWS, replicator_field_grid
-from coaldyn.experiments import (_config_echo, _json_safe, _matched_members, _state_text,
-                                 run_experiment, write_csv)
+from coaldyn.experiments import (_HANDLERS, _config_echo, _matched_members, _state_text,
+                                 run_experiment, write_csv, write_json)
 from coaldyn.sampling import FitnessTable, fitness_at, fitness_table
 from coaldyn.markov import StateIndex, build_chain, monte_carlo, selection_gradient, stationary
 from coaldyn.svg import simplex_svg
@@ -211,6 +211,14 @@ SHIPPED_CONFIGS = sorted([*(Path(__file__).parents[1] / "scripts" / "configs").g
                           *(Path(__file__).parents[1] / "perfbench" / "configs").glob("*.cfg")])
 
 
+def echo_as_ini(echo: dict) -> str:
+    """A manifest's config echo, as JSON holds it, written back out as an INI config."""
+    echo = {section: keys for section, keys in echo.items() if section != "notes"}
+    return "".join(f"[{section}]\n" + "".join(
+        f"{key} = {', '.join(map(str, value)) if isinstance(value, list) else value}\n"
+        for key, value in keys.items()) for section, keys in echo.items())
+
+
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
 def test_config_echo_loads_back_as_the_same_config(tmp_path, path):
     """Every shipped config loads, and its manifest echo, written back out as INI,
@@ -218,11 +226,16 @@ def test_config_echo_loads_back_as_the_same_config(tmp_path, path):
     """
     cfg = load_config(path)
     echo = json.loads(json.dumps(_config_echo(cfg)))  # as manifest.json holds it
-    del echo["notes"]
-    text = "".join(f"[{section}]\n" + "".join(
-        f"{key} = {', '.join(map(str, value)) if isinstance(value, list) else value}\n"
-        for key, value in keys.items()) for section, keys in echo.items())
-    assert load_config(write_cfg(tmp_path, text)) == cfg
+    assert load_config(write_cfg(tmp_path, echo_as_ini(echo))) == cfg
+
+
+def test_every_list_of_experiments_names_the_same_seven():
+    """The config's names, the handlers and the ``--experiment`` help list one set, in one order."""
+    run = _build_parser()._subparsers._group_actions[0].choices["run"]
+    help_text = next(a.help for a in run._actions if a.dest == "experiment")
+    listed = tuple(name.strip() for name in help_text.partition("(")[2].rstrip(")").split(","))
+    assert len(EXPERIMENTS) == 7
+    assert listed == EXPERIMENTS == tuple(_HANDLERS)
 
 
 def test_benefit_echo_lists_the_keys_of_its_kind(tmp_path):
@@ -249,10 +262,19 @@ def test_cell_formatting_is_shortest_round_trip(tmp_path):
             assert float(cell) == value
 
 
-def test_json_safe_maps_nonfinite_to_null():
-    assert _json_safe(float("nan")) is None
-    assert _json_safe(float("inf")) is None
-    assert _json_safe(0.5) == 0.5
+def strict_json(text: str):
+    """``json.loads`` that refuses the non-standard NaN, Infinity and -Infinity."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_write_json_writes_nan_as_null_and_inf_as_a_string(tmp_path):
+    path = tmp_path / "t.json"
+    write_json(path, {"a": [math.nan, math.inf, -math.inf, 0.5], "b": (np.float64(-math.inf), 3),
+                      "c": {"d": math.nan, "e": "inf", "f": None}})
+    assert strict_json(path.read_text()) == {"a": [None, "inf", "-inf", 0.5], "b": ["-inf", 3],
+                                             "c": {"d": None, "e": "inf", "f": None}}
 
 
 def test_write_csv_layout(tmp_path):
@@ -879,6 +901,42 @@ def test_cli_success_exit_zero(tmp_path, capsys):
     assert code == 0
     assert "manifest.json" in captured.out
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+INF_DESK = (Path(__file__).parents[1] / "scripts" / "configs" / "desk_stationary.cfg").read_text() \
+    .replace("z = 60", "z = 30").replace("g_m = 0.05", "g_m = 0.1").replace("alpha = 1.0", "alpha = inf") \
+    .replace("name = stationary", "name = stationary\nsteps = 20000\nvalues = 2 inf")
+
+
+@pytest.mark.parametrize("experiment", ["stationary", "field", "informed-map", "k-profile", "montecarlo",
+                                        "sweep-alpha"])
+def test_cli_alpha_inf_runs_and_writes_strict_json(tmp_path, capsys, experiment):
+    """alpha = inf, the step-growth limit, runs end to end: every JSON file is strict
+    JSON, and the manifest's config echo, written back as INI, loads as an equal config."""
+    path = write_cfg(tmp_path, INF_DESK)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), "--experiment", experiment]) == 0, capsys.readouterr().err
+    files = sorted(out.glob("*.json"))
+    assert len(files) == 2 and all(strict_json(f.read_text()) for f in files)
+    echo = strict_json((out / "manifest.json").read_text())["config"]
+    assert echo["game"]["alpha"] == "inf"
+    cfg = load_config(path, out_dir=out, experiment=experiment)
+    assert math.isinf(cfg.params.alpha)
+    assert load_config(write_cfg(tmp_path, echo_as_ini(echo), name="echo.cfg")) == cfg
+
+
+@pytest.mark.parametrize("values", ["2 2.0000001 4", "2 2"])
+def test_cli_sweep_values_that_share_a_file_tag_are_a_config_error(tmp_path, capsys, values):
+    """Two sweep values of one ``:g`` tag would write the same panel files; the run
+    stops at the config, before it makes the output directory."""
+    text = BASE.replace("name = stationary", "name = sweep-alpha").replace("values = 1, 2", f"values = {values}")
+    code = main(["run", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: config:") and err.count("\n") == 1
+    assert "'values'" in err and "2.0 and 2.0" in err and "stationary_alpha2.csv" in err
+    assert not (tmp_path / "out").exists()
+    # k-profile writes one file for all its values, so repeats are allowed there
+    load_config(write_cfg(tmp_path, text.replace("name = sweep-alpha", "name = k-profile")))
 
 
 def test_cli_config_error_exit_two(tmp_path, capsys):

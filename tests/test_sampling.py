@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coaldyn import BenefitFunction, GameParams, PopulationState, sampling
+from coaldyn import BenefitFunction, GameParams, PopulationState, markov, sampling
 from coaldyn.markov import build_chain, monte_carlo
 from coaldyn.replicator import flow_field
 from coaldyn.sampling import (
@@ -248,8 +248,6 @@ def test_fitness_table_matches_per_state_rows(kind):
         p = GameParams(z=z, g_m=0.05, alpha=alpha, benefit=BENEFITS[kind])
         table = fitness_table(p)
         f_c, f_d, f_o = table.grid()
-        f_o = f_o.copy()
-        f_o[z, : z + 1] = table.f_o_full
         worst = 0.0
         for i_m in range(2, z + 1):
             grid = payoff_grid(p, group_size(p, i_m))
@@ -281,16 +279,20 @@ def test_whole_coalition_draw_is_the_kernel_identity():
 
 
 def test_fitness_at_reads_the_table_with_zero_conventions():
+    """`fitness_at` reads the table, but f_o = 0 where the table holds the
+    outsider formula of the full coalition."""
     p = small_params()
     table = fitness_table(p)
     zc, zd, zo = table.grid()
     assert zc.shape == (p.z + 2, p.z + 2)
     for i_m in range(p.z + 1):
         for i_c in range(i_m + 1):
-            assert fitness_at(p, i_c, i_m - i_c) == FitnessTriple(
-                zc[i_m, i_c], zd[i_m, i_c], zo[i_m, i_c])
+            f_o = zo[i_m, i_c] if i_m < p.z else 0.0
+            assert fitness_at(p, i_c, i_m - i_c) == FitnessTriple(zc[i_m, i_c], zd[i_m, i_c], f_o)
     assert not zc.flags.writeable and not table.level(p.z).flags.writeable
-    assert np.isfinite(table.f_o_full).all() and (zo[p.z] == 0.0).all()
+    n = group_size(p, p.z)
+    formula = _level_fitness(_payoff_grid(p, n), _level_draws(p.z, n), p.z)[2]
+    assert np.array_equal(zo[p.z, : p.z + 1], formula) and formula.any()
 
 
 def test_fitness_table_builds_only_the_levels_read():
@@ -341,3 +343,31 @@ def test_chain_and_monte_carlo_never_compute_the_means(monkeypatch):
         run(p)
         table = fitness_table(p)
         assert all(table._built) and table._means is None
+
+
+def test_chain_and_simulator_read_no_fitness_of_an_unplayed_strategy(monkeypatch):
+    """Overwriting the entries of strategies nobody plays (f_c at i_c = 0, f_d at
+    i_d = 0, f_o at i_m = z) changes neither the chain's moves, under both mutation
+    forms, nor a two-segment simulator run."""
+    p = small_params(alpha=3.0, beta=0.5, mu=0.05)
+    monkeypatch.setattr(markov, "SEGMENT_STEPS", 1_000)
+    monkeypatch.setattr(markov, "_usable_cpus", lambda: 2)
+
+    def run():
+        moves = [build_chain(p, mutation_form=form).move_probs for form in ("scaled", "literal")]
+        return moves, monte_carlo(p, steps=6_000, seed=4, trajectory_samples=64)
+
+    fitness_table.cache_clear()
+    (scaled, literal), mc = run()
+    fitness_table.cache_clear()
+    table = fitness_table(p)
+    table.grid()
+    rng = np.random.default_rng(7)
+    i_m = np.arange(p.z + 1)
+    table._f[0, i_m, 0] = rng.uniform(-50.0, 50.0, p.z + 1)
+    table._f[1, i_m, i_m] = rng.uniform(-50.0, 50.0, p.z + 1)
+    table._f[2, p.z, : p.z + 1] = rng.uniform(-50.0, 50.0, p.z + 1)
+    (scaled_2, literal_2), mc_2 = run()
+    assert fitness_table(p) is table and table._f[2, p.z, 0] != 0.0
+    assert np.array_equal(scaled, scaled_2) and np.array_equal(literal, literal_2)
+    assert np.array_equal(mc.occupancy, mc_2.occupancy) and np.array_equal(mc.trajectory, mc_2.trajectory)
