@@ -30,9 +30,6 @@ from .game import (
     PopulationState,
     effective_shares,
     group_size,
-    marginal_return,
-    payoff,
-    relative_benefit,
 )
 from .informed import InformedFlow, MarginalGains, StateClass, classify_state, informed_field, marginal_gains
 from .markov import (
@@ -55,11 +52,10 @@ from .replicator import (
     find_fixed_points,
     flow_field,
     information_cost,
-    mean_benefit,
     mean_return,
     replicator_field,
 )
-from .sampling import FitnessTriple, HypergeomSpec, fitness, fitness_at, hypergeom_pmf, pmf_row
+from .sampling import FitnessTriple, fitness_at
 
 __version__ = "0.1.0"
 
@@ -73,7 +69,6 @@ __all__ = [
     "FixedPoint",
     "FlowField",
     "GameParams",
-    "HypergeomSpec",
     "InformationCost",
     "InformedFlow",
     "MarginalGains",
@@ -93,22 +88,15 @@ __all__ = [
     "classify_state",
     "effective_shares",
     "find_fixed_points",
-    "fitness",
     "fitness_at",
     "flow_field",
     "group_size",
-    "hypergeom_pmf",
     "imitation_probability",
     "informed_field",
     "information_cost",
     "marginal_gains",
-    "marginal_return",
-    "mean_benefit",
     "mean_return",
     "monte_carlo",
-    "payoff",
-    "pmf_row",
-    "relative_benefit",
     "replicator_field",
     "selection_gradient",
     "stationary",

@@ -68,6 +68,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; expected one of {', '.join(EXPERIMENTS)}"
             )
+        if not self.formats:
+            raise ConfigError(f"key 'formats' in [output] must list at least one of "
+                              f"{', '.join(FORMATS)}")
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise ConfigError(f"unknown output format {fmt!r}")

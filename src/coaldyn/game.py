@@ -11,10 +11,9 @@ contribution `c`; members pay a coalition fee `c_c`; outsiders pay
 nothing and consume only the spillover.
 
 This module holds the parameter/state containers, the coalition
-group-size law, and the raw per-interaction payoffs, all read from
-`_payoff_grid` on a group's contribution grid: `sampling` and `informed`
-read it whole, `payoff` and `marginal_return` at one point.  Averaging
-over group composition lives in `sampling`.
+group-size law, and the raw per-interaction payoffs on a group's
+contribution grid, `_payoff_grid`, which `sampling` and `informed` read
+whole.  Averaging over group composition lives in `sampling`.
 """
 
 from __future__ import annotations
@@ -32,9 +31,6 @@ __all__ = [
     "EffectiveShares",
     "group_size",
     "effective_shares",
-    "payoff",
-    "marginal_return",
-    "relative_benefit",
 ]
 
 
@@ -211,38 +207,9 @@ def _payoff_grid(params: GameParams, n: int):
 def _check_on_grid(params: GameParams, c_prime: float, n: int) -> int:
     """The grid index k = c_prime / c; rejects a total no group of n-1 others can produce."""
     k = c_prime / params.c
-    if abs(k - round(k)) > 1e-9 or not -1e-9 <= k <= n - 1 + 1e-9:
+    if not math.isfinite(k) or abs(k - round(k)) > 1e-9 or not -1e-9 <= k <= n - 1 + 1e-9:
         raise ValueError(
             f"others' contribution {c_prime} is not k*c for k in [0, {n - 1}]; "
             f"likely a caller bug"
         )
     return round(k)
-
-
-def payoff(params: GameParams, strategy: str, c_prime: float, n: int) -> float:
-    """Per-interaction payoff for one player given the others' contributions.
-
-    `c_prime` is the total contributed by the *other* cooperators in the
-    working group (k * c for k in [0, n-1]); `n` is the working-group
-    size.  A cooperator adds its own contribution before the benefit is
-    produced; an outsider consumes only the spillover and is unaffected
-    by n beyond the pool the group produced.  `_payoff_grid` read at k.
-    """
-    if strategy not in ("C", "D", "O"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    k = _check_on_grid(params, c_prime, n)
-    return _payoff_grid(params, n)["CDO".index(strategy)][k].item()
-
-
-def marginal_return(params: GameParams, c_prime: float, n: int) -> float:
-    """Dimensionless return R = (B(C' + c) - B(C')) / c of one extra contribution."""
-    k = _check_on_grid(params, c_prime, n)
-    produced = _payoff_grid(params, n)[3]
-    return ((produced[k + 1] - produced[k]) / params.c).item()
-
-
-def relative_benefit(params: GameParams, c_prime: float, n: int) -> float:
-    """Benefit in contribution units, b(C') = B(C') / c; a direct call, as C' may be off the grid."""
-    if not -1e-9 <= c_prime / params.c <= n + 1e-9:
-        raise ValueError(f"contribution {c_prime} outside [0, {n}*c]")
-    return params.benefit(c_prime, n * params.c) / params.c

@@ -45,7 +45,6 @@ __all__ = [
     "FixedPoint",
     "replicator_field",
     "mean_return",
-    "mean_benefit",
     "information_cost",
     "flow_field",
     "replicator_field_grid",
@@ -85,21 +84,6 @@ def mean_return(params: GameParams, state: PopulationState) -> float:
     if state.i_m < 2 or state.i_c < 1 or state.i_d < 1:
         raise ValueError(f"mean_return needs both member kinds present, got {state}")
     return _means_at(params, state.i_m, state.i_c, state.i_c)[0].item()
-
-
-def mean_benefit(params: GameParams, state: PopulationState) -> float:
-    """Mean relative benefit <b> of the group a random member anchors.
-
-    Conditions on whether the anchoring member cooperates (adding its
-    own contribution) and averages b = B/c over the co-member draw.
-    Defined for every composition of a coalition of two or more,
-    i_c = 0 and i_c = i_m included.
-    """
-    if state.z != params.z:
-        raise ValueError(f"state population {state.z} != params population {params.z}")
-    if state.i_m < 2:
-        raise ValueError(f"mean_benefit needs a coalition of two or more, got {state}")
-    return _means_at(params, state.i_m, state.i_c, state.i_c)[1].item()
 
 
 @dataclass(frozen=True)

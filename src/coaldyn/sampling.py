@@ -16,11 +16,12 @@ of whom cooperate), and the level's three fitnesses are products of H
 with the payoff grid, `game._payoff_grid`, whose benefit grid also
 gives the means.  Each level's H is built once and only one exists
 at a time: when the flow field asks for the mean marginal return and
-mean benefit, the same H gives them by a second product.  The pointwise
-`mean_return` and `mean_benefit` take that product over the two rows of
-H one state reads, and `k-profile` over one whole level.  PMF entries
-are formed from log-factorials so they stay finite and accurate for pools
-of hundreds of players.  `fitness_table` memoises the table of the latest
+mean benefit, the same H gives them by a second product.  `_means_at`
+takes that product over only the rows of H some states read: the two of
+one state for the pointwise `mean_return`, one whole level for
+`k-profile`.  `_hypergeom_rows` forms the entries of H from
+log-factorials, so they stay finite and accurate for pools of hundreds
+of players.  `fitness_table` memoises the table of the latest
 parameter set and fills it one level at a time, as levels are first read;
 `fitness_at` reads it, zeroing the fitness of strategies nobody plays.
 """
@@ -34,33 +35,12 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .game import GameParams, PopulationState, _payoff_grid, group_size
+from .game import GameParams, _payoff_grid, group_size
 
 __all__ = [
-    "HypergeomSpec",
     "FitnessTriple",
-    "hypergeom_pmf",
-    "pmf_row",
-    "fitness",
     "fitness_at",
 ]
-
-
-@dataclass(frozen=True)
-class HypergeomSpec:
-    """Sampling-without-replacement setup: `draws` from `pool` containing `successes`."""
-
-    pool: int
-    draws: int
-    successes: int
-
-    def __post_init__(self):
-        if self.pool < 0:
-            raise ValueError(f"pool must be non-negative, got {self.pool}")
-        if not 0 <= self.draws <= self.pool:
-            raise ValueError(f"draws must lie in [0, pool], got {self}")
-        if not 0 <= self.successes <= self.pool:
-            raise ValueError(f"successes must lie in [0, pool], got {self}")
 
 
 @lru_cache(maxsize=None)
@@ -105,20 +85,6 @@ def _hypergeom_rows(pool: int, draws: int, successes: np.ndarray) -> np.ndarray:
     np.exp(log_p, out=log_p)
     log_p /= log_p.sum(axis=1, keepdims=True)
     return log_p
-
-
-def pmf_row(pool: int, draws: int, successes: int) -> np.ndarray:
-    """P(k successes in the sample) for k = 0..draws."""
-    HypergeomSpec(pool, draws, successes)  # validate
-    return _hypergeom_rows(pool, draws, np.array([successes]))[0]
-
-
-def hypergeom_pmf(pool: int, draws: int, successes: int, k: int) -> float:
-    """Probability of exactly k successes; exact 0.0 for impossible k."""
-    row = pmf_row(pool, draws, successes)
-    if k < 0 or k > draws:
-        return 0.0
-    return float(row[k])
 
 
 @dataclass(frozen=True)
@@ -289,10 +255,3 @@ def fitness_at(params: GameParams, i_c: int, i_d: int) -> FitnessTriple:
         raise ValueError(f"composition ({i_c}, {i_d}) invalid for z={params.z}")
     f_c, f_d, f_o = fitness_table(params).level(i_c + i_d)[:, i_c].tolist()
     return FitnessTriple(f_c, f_d, f_o if i_c + i_d < params.z else 0.0)
-
-
-def fitness(params: GameParams, state: PopulationState) -> FitnessTriple:
-    """Fitness triple at a population state (see `fitness_at`)."""
-    if state.z != params.z:
-        raise ValueError(f"state population {state.z} != params population {params.z}")
-    return fitness_at(params, state.i_c, state.i_d)

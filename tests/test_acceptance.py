@@ -29,13 +29,13 @@ from coaldyn import (
     informed_field,
     mean_return,
     monte_carlo,
-    pmf_row,
     replicator_field,
     selection_gradient,
     stationary,
 )
 from coaldyn.config import load_config
 from coaldyn.experiments import run_experiment
+from coaldyn.sampling import _hypergeom_rows
 
 from conftest import SCORECARD
 from oracles import enumerated_pmf_row, fitness_by_enumeration
@@ -131,7 +131,7 @@ def test_criterion_04_sampling_against_enumeration():
     for pool in range(13):
         for draws in range(pool + 1):
             for successes in range(pool + 1):
-                row = pmf_row(pool, draws, successes)
+                row = _hypergeom_rows(pool, draws, np.array([successes]))[0]
                 oracle = enumerated_pmf_row(pool, draws, successes)
                 for k in range(draws + 1):
                     worst_pmf = max(worst_pmf, abs(row[k] - float(oracle[k])))

@@ -1060,6 +1060,22 @@ def test_cli_format_override(tmp_path):
     assert not (out / "k_profile_summary.json").exists()
 
 
+@pytest.mark.parametrize("where", ["cli", "file"])
+def test_cli_empty_format_list_is_a_config_error(tmp_path, capsys, where):
+    """An empty format list would run the whole experiment and write nothing."""
+    out = tmp_path / "out"
+    if where == "cli":
+        text, extra = BASE, ["--format", ","]
+    else:
+        text, extra = BASE.replace("formats = csv, json", "formats ="), []
+    code = main(["run", str(write_cfg(tmp_path, text)), "--out", str(out), *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: config: key 'formats' in [output]")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_config_echo_keeps_x_summary_note(tmp_path):
     manifest = run_experiment(run_cfg(tmp_path, "stationary"))
     notes = manifest.config["notes"]

@@ -2,17 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coaldyn import BenefitFunction, GameParams, PopulationState
-from coaldyn.game import (
-    effective_shares,
-    group_size,
-    marginal_return,
-    payoff,
-    relative_benefit,
-)
+from coaldyn.game import _check_on_grid, _payoff_grid, effective_shares, group_size
 
 from oracles import payoff_triple
 
@@ -23,6 +18,11 @@ def params(**kw):
     base = dict(z=100, g_m=0.05, benefit=SIGMOID)
     base.update(kw)
     return GameParams(**base)
+
+
+def returns(p, n):
+    """R = (B(C' + c) - B(C')) / c at C' = k c, k = 0..n-1, read off the payoff grid."""
+    return np.diff(_payoff_grid(p, n)[3]) / p.c
 
 
 # ---------------------------------------------------------------- containers
@@ -143,38 +143,36 @@ def test_effective_shares_spec_points():
 
 def test_payoff_spec_points():
     # outsiders get nothing when the club keeps everything
-    assert payoff(params(e=1.0), "O", 3.0, 10) == 0.0
+    assert _payoff_grid(params(e=1.0), 10)[2][3] == 0.0
     # defector: B=100 everywhere via linear slope tuned to the grid point
     p = params(benefit=BenefitFunction.linear(slope=100.0 / 3.0))
-    assert payoff(p, "D", 3.0, 10) == pytest.approx(100.0 * 0.055 - 1.0)
+    assert _payoff_grid(p, 10)[1][3] == pytest.approx(100.0 * 0.055 - 1.0)
     # zero benefit leaves only the cooperator's costs
     pz = params(benefit=BenefitFunction.tabulated([(0.0, 0.0), (200.0, 0.0)]))
-    assert payoff(pz, "C", 5.0, 10) == pytest.approx(-2.0)
+    assert _payoff_grid(pz, 10)[0][5] == pytest.approx(-2.0)
 
 
-def test_payoff_rejects_off_grid_contribution():
+def test_check_on_grid_rejects_off_grid_contribution():
     p = params()
+    assert _check_on_grid(p, 9.0, 10) == 9
     with pytest.raises(ValueError):
-        payoff(p, "C", 2.5, 10)
+        _check_on_grid(p, 2.5, 10)
     with pytest.raises(ValueError):
-        payoff(p, "D", 10.0, 10)  # k = 10 > n-1
-    with pytest.raises(ValueError):
-        payoff(p, "X", 1.0, 10)
+        _check_on_grid(p, 10.0, 10)  # k = 10 > n-1
 
 
 def test_marginal_return_flat_and_linear():
     lin = params(benefit=BenefitFunction.linear(slope=1.0))
     for k in range(9):
-        assert marginal_return(lin, float(k), 10) == pytest.approx(1.0)
+        assert returns(lin, 10)[k] == pytest.approx(1.0)
     flat = params(benefit=BenefitFunction.tabulated([(0.0, 5.0), (200.0, 5.0)]))
-    assert marginal_return(flat, 3.0, 10) == pytest.approx(0.0)
+    assert returns(flat, 10)[3] == pytest.approx(0.0)
 
 
 def test_sigmoid_return_peaks_at_threshold():
     # the marginal return of the normalized sigmoid must peak where the
     # ramp is centred: 3/4 of the full pool
-    p = params()
-    rs = [marginal_return(p, float(k), 100) for k in range(100)]
+    rs = returns(params(), 100)
     argmax = max(range(100), key=lambda k: rs[k])
     assert argmax in (73, 74, 75)
 
@@ -195,28 +193,21 @@ def test_payoff_identities(n, k, e, cc, c):
     p = params(z=100, e=e, c=c, c_c=cc)
     c_prime = k * c
     sh = effective_shares(p, n)
-    pi_c, pi_d, pi_o = payoffs = tuple(payoff(p, s, c_prime, n) for s in "CDO")
+    pi_c, pi_d, pi_o = payoffs = tuple(g[k] for g in _payoff_grid(p, n)[:3])
     assert payoffs == pytest.approx(payoff_triple(p, k, n), abs=1e-12)
     b_here = p.benefit(c_prime, n * c)
-    r = marginal_return(p, c_prime, n)
+    r = returns(p, n)[k]
     assert r == pytest.approx((p.benefit((k + 1) * c, n * c) - b_here) / c, abs=1e-12)
     assert pi_d - pi_o == pytest.approx(b_here * sh.eps1 - cc, abs=1e-12)
     assert pi_c - pi_d == pytest.approx(c * (r * sh.total - 1.0), abs=1e-12)
-
-
-def test_relative_benefit_units():
-    p = params(c=2.0, benefit=BenefitFunction.linear(slope=1.0))
-    assert relative_benefit(p, 4.0, 10) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        relative_benefit(p, 100.0, 10)
 
 
 def test_scale_tracks_group_size():
     # B is renormalized per working group: the same pool fraction gives
     # the same sigmoid value at different N
     p = params()
-    b_small = relative_benefit(p, 6.0, 8)
-    b_large = relative_benefit(p, 75.0, 100)
+    b_small = p.benefit(6.0, 8 * p.c) / p.c
+    b_large = p.benefit(75.0, 100 * p.c) / p.c
     assert b_small == pytest.approx(b_large, rel=1e-9)
 
 

@@ -61,6 +61,14 @@ def test_zero_benefit_leaves_pure_costs():
     assert g.d_co == pytest.approx(-1.7, abs=1e-12)
 
 
+@pytest.mark.parametrize("c_prime", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("fn", [marginal_gains, classify_state])
+def test_non_finite_total_is_off_the_grid(fn, c_prime):
+    """Every non-finite total is rejected as off the grid, before any rounding."""
+    with pytest.raises(ValueError, match=r"is not k\*c for k in \[0, 4\]"):
+        fn(params(), c_prime, 5)
+
+
 def test_gain_vanishes_at_return_threshold():
     # tune a linear benefit so R(eps1+eps2) = 1 exactly
     n = 10
