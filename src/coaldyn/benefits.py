@@ -13,6 +13,7 @@ arrays, which keeps the fitness averaging loops fast.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -52,15 +53,15 @@ class BenefitFunction:
     @classmethod
     def linear(cls, slope: float = 1.0) -> "BenefitFunction":
         """B(C) = slope * C, the classic linear public-goods benefit."""
-        if slope < 0:
-            raise ValueError(f"linear benefit needs slope >= 0, got {slope}")
+        if not 0 <= slope < math.inf:
+            raise ValueError(f"linear benefit needs a finite slope >= 0, got {slope}")
         return cls(kind="linear", slope=slope)
 
     @classmethod
     def step(cls, amplitude: float = 100.0, threshold: float = 0.75) -> "BenefitFunction":
         """All-or-nothing benefit: `amplitude` once C reaches threshold * scale."""
-        if amplitude < 0:
-            raise ValueError(f"step benefit needs amplitude >= 0, got {amplitude}")
+        if not 0 <= amplitude < math.inf:
+            raise ValueError(f"step benefit needs a finite amplitude >= 0, got {amplitude}")
         if not 0.0 < threshold <= 1.0:
             raise ValueError(f"step threshold must lie in (0, 1], got {threshold}")
         return cls(kind="step", amplitude=amplitude, threshold=threshold)
@@ -79,10 +80,10 @@ class BenefitFunction:
         logistic ramp centred at `threshold * scale`, rescaled so that
         B(0) = 0 and B(scale) = amplitude exactly.
         """
-        if amplitude < 0:
-            raise ValueError(f"sigmoid benefit needs amplitude >= 0, got {amplitude}")
-        if steepness <= 0:
-            raise ValueError(f"sigmoid steepness must be positive, got {steepness}")
+        if not 0 <= amplitude < math.inf:
+            raise ValueError(f"sigmoid benefit needs a finite amplitude >= 0, got {amplitude}")
+        if not 0 < steepness < math.inf:
+            raise ValueError(f"sigmoid steepness must be positive and finite, got {steepness}")
         if not 0.0 < threshold < 1.0:
             raise ValueError(f"sigmoid threshold must lie in (0, 1), got {threshold}")
         return cls(
@@ -96,12 +97,16 @@ class BenefitFunction:
     def tabulated(cls, knots) -> "BenefitFunction":
         """Piecewise-linear benefit through explicit (C, B) knots.
 
-        Knots must be sorted by C with non-negative B values; evaluation
-        outside the covered C range is an error, not an extrapolation.
+        Knots must be finite and strictly increasing in C, with non-negative
+        B values; evaluation outside the covered C range is an error, not an
+        extrapolation.
         """
         pts = tuple((float(c), float(b)) for c, b in knots)
         if len(pts) < 2:
             raise ValueError("tabulated benefit needs at least two knots")
+        for c, b in pts:
+            if not (math.isfinite(c) and math.isfinite(b)):
+                raise ValueError(f"tabulated knots must be finite, got ({c}, {b})")
         cs = [c for c, _ in pts]
         if any(c1 <= c0 for c0, c1 in zip(cs, cs[1:])):
             raise ValueError("tabulated knots must be strictly increasing in C")

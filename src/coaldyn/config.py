@@ -59,7 +59,6 @@ class ExperimentConfig:
     z_pair: tuple[int, int] = (100, 50)
     group_size: int = 25
     y_slice: float = 0.5
-    resolution: int = 40
     out_dir: Path = field(default_factory=lambda: Path("out"), metadata={"section": "output", "key": "dir"})
     formats: tuple[str, ...] = field(default=("csv", "json"), metadata={"section": "output"})
 
@@ -104,8 +103,6 @@ class ExperimentConfig:
             raise ConfigError(f"y_slice must lie in (0, 1], got {self.y_slice}")
         if self.group_size < 2:
             raise ConfigError(f"group_size must be at least 2, got {self.group_size}")
-        if self.resolution < 4:
-            raise ConfigError(f"resolution must be at least 4, got {self.resolution}")
         if any(z < 4 for z in self.z_pair) or len(self.z_pair) != 2:
             raise ConfigError(f"key 'z_pair' in [experiment] needs two population sizes >= 4, "
                               f"got {self.z_pair}")

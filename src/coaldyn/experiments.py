@@ -61,7 +61,7 @@ from .markov import (StateIndex, _check_capacity, _children, _summarize, _usable
                      build_chain, monte_carlo, selection_gradient, stationary)
 from .replicator import _row_blocks, find_fixed_points, flow_field, replicator_field_grid
 from .replicator import information_cost, mean_return, replicator_field  # noqa: F401
-from .sampling import _means_at
+from .sampling import fitness_table
 from .svg import simplex_svg
 
 
@@ -252,7 +252,7 @@ def _run_field(cfg: ExperimentConfig, out: _Outputs) -> None:
         z, field.i_c, field.i_d, field.x_dot, field.y_dot, field.mean_r, field.mean_b,
         field.k_exact, field.k_dropped))
 
-    points = find_fixed_points(params, grid_resolution=cfg.resolution)
+    points = find_fixed_points(params)
     out.emit("fixed_points.json", write_json, {
         "alpha": params.alpha,
         "z": z,
@@ -384,7 +384,7 @@ def _run_k_profile(cfg: ExperimentConfig, out: _Outputs) -> None:
         n = group_size(p, i_m)
         shares = effective_shares(p, n)
         x, y, _, _, k_exact, k_dropped = replicator_field_grid(p, level, i_c)[:6]
-        r_term = _means_at(p, i_m, 1, i_m - 1)[0] * (shares.eps1 + shares.eps2)
+        r_term = fitness_table(p).means(i_m)[0] * (shares.eps1 + shares.eps2)
         rows.extend(zip(repeat(alpha), i_c.tolist(), repeat(i_m), repeat(n), x.tolist(), y.tolist(),
                         k_exact.tolist(), k_dropped.tolist(), r_term.tolist()))
         summary["alpha"].append(alpha)

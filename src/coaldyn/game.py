@@ -40,7 +40,7 @@ class GameParams:
 
     Attributes
     ----------
-    z : population size (Z >= 4 so every strategy can be represented twice)
+    z : population size, an integer (Z >= 4 so every strategy can be represented twice)
     e : club fraction of the benefit kept inside the working group, in [0, 1]
     theta : congestibility of the public spillover share, in [0, 1]
     theta_prime : congestibility of the club share, in [0, 1]
@@ -69,6 +69,8 @@ class GameParams:
     benefit: BenefitFunction = BenefitFunction.sigmoid()
 
     def __post_init__(self):
+        if not isinstance(self.z, (int, np.integer)):
+            raise ValueError(f"z must be an integer, got {self.z!r}")
         if self.z < 4:
             raise ValueError(f"z must be at least 4, got {self.z}")
         if not 0.0 <= self.e <= 1.0:

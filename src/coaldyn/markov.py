@@ -97,21 +97,6 @@ class StateIndex:
         return int(self.i_c_of[s]), int(self.i_d_of[s])
 
 
-def fitness_tables(params: GameParams, index: StateIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Average fitness of C, D, O at every composition, as flat arrays.
-
-    Read from the parameter set's `fitness_table`.  The chain and the
-    simulator read only the fitness of strategies that are played, so the
-    table's entries for the unplayed ones (f_o at i_m = z holds the outsider
-    formula) never reach a move probability.
-    """
-    i_m = index.i_c_of + index.i_d_of
-    out = tuple(a[i_m, index.i_c_of] for a in fitness_table(params).grid())
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
 def imitation_probability(params: GameParams, f_x, f_y):
     """Fermi rule: probability that a focal X-player adopts Y's strategy.
 
@@ -122,10 +107,16 @@ def imitation_probability(params: GameParams, f_x, f_y):
     return float(p) if np.ndim(p) == 0 else p
 
 
-def _fermi_table(params: GameParams, fits: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """(n_states, 6) table of p(X, Y) evaluated at every composition."""
-    n = fits[0].shape[0]
-    table = np.empty((n, 6))
+def _fermi_table(params: GameParams, index: StateIndex) -> np.ndarray:
+    """(n_states, 6) table of p(X, Y) at every composition, from the parameter set's `fitness_table`.
+
+    The chain and the simulator read only the fitness of strategies that
+    are played, so the table's entries for the unplayed ones (f_o at
+    i_m = z holds the outsider formula) never reach a move probability.
+    """
+    i_m = index.i_c_of + index.i_d_of
+    fits = [a[i_m, index.i_c_of] for a in fitness_table(params).grid()]
+    table = np.empty((index.n_states, 6))
     for m, (x, y) in enumerate(MOVES):
         table[:, m] = imitation_probability(params, fits[x], fits[y])
     return table
@@ -233,7 +224,6 @@ def build_chain(params: GameParams, *, mutation_form: str = "scaled") -> MarkovM
             "use mutation_form='scaled' or reduce mu"
         )
 
-    fits = fitness_tables(params, index)
     counts = (
         index.i_c_of.astype(float),
         index.i_d_of.astype(float),
@@ -241,7 +231,7 @@ def build_chain(params: GameParams, *, mutation_form: str = "scaled") -> MarkovM
     )
 
     mu = params.mu
-    fermi = _fermi_table(params, fits)
+    fermi = _fermi_table(params, index)
     move_probs = np.empty((n, 6))
     for m, (x, y) in enumerate(MOVES):
         p_xy = fermi[:, m]
@@ -687,7 +677,7 @@ def _stepper(params: GameParams, index: StateIndex, seed: int, burn_in: int, str
     """
     z, mu = params.z, params.mu
     offsets = np.asarray(index.offsets)
-    fermi = _fermi_table(params, fitness_tables(params, index))
+    fermi = _fermi_table(params, index)
     fermi = [fermi[o:o + z + 1 - k].tolist() for k, o in enumerate(offsets.tolist())]
     pair_move = PAIR_TO_MOVE.tolist()
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameParams, PopulationState
-from .sampling import _means_at, fitness_table
+from .sampling import fitness_table
 
 __all__ = [
     "InformationCost",
@@ -76,14 +76,14 @@ def mean_return(params: GameParams, state: PopulationState) -> float:
 
     Averages R(k c) under the mean of the co-member distributions a
     focal cooperator and a focal defector face; requires both member
-    kinds present (1 <= i_c <= i_m - 1).  The arithmetic of
-    `FitnessTable.means`, over the two draw rows the state reads.
+    kinds present (1 <= i_c <= i_m - 1).  Read off `FitnessTable.means`
+    of the state's coalition size.
     """
     if state.z != params.z:
         raise ValueError(f"state population {state.z} != params population {params.z}")
     if state.i_m < 2 or state.i_c < 1 or state.i_d < 1:
         raise ValueError(f"mean_return needs both member kinds present, got {state}")
-    return _means_at(params, state.i_m, state.i_c, state.i_c)[0].item()
+    return fitness_table(params).means(state.i_m)[0][state.i_c - 1].item()
 
 
 @dataclass(frozen=True)
@@ -208,11 +208,12 @@ def flow_field(params: GameParams) -> FlowField:
     The field and K columns are filled from `replicator_field_grid` one
     block of `BLOCK_ROWS` states at a time, so its temporaries stay a block
     long; each is elementwise, so the values do not depend on the blocks.
-    mean_R and mean_b come from the fitness table's `means`, which builds
-    each coalition size's hypergeometric draw once for its fitness and its
-    means.  Rows run over i_m = 2..z and, within one, i_c = 1..i_m - 1.
+    mean_R and mean_b come from the fitness table's `means`, one coalition
+    size at a time, whose one draw also stores that size's fitness.  Rows
+    run over i_m = 2..z and, within one, i_c = 1..i_m - 1.
     """
-    mean_r, mean_b = fitness_table(params).means()
+    table = fitness_table(params)
+    mean_r, mean_b = map(np.concatenate, zip(*(table.means(i_m) for i_m in range(2, params.z + 1))))
     i_m, i_c = np.tril_indices(params.z + 1, -1)
     interior = i_c >= 1
     i_m, i_c = i_m[interior], i_c[interior]
@@ -339,9 +340,17 @@ def find_fixed_points(params: GameParams, grid_resolution: int = 40) -> list[Fix
     kept once the full field residual drops below 1e-8.  Both steps
     read one linearisation, `_linearise`: Newton on the reduced gaps
     with step 1/(4z), inside one state-grid cell, and the classification
-    on the field with step 1/z, one state-grid cell.  Results do not
-    depend on grid_resolution once it is fine enough to isolate the
-    basins (doubling it must reproduce the same points).
+    on the field with step 1/z, one state-grid cell.
+
+    The scan can miss rest points, and which it misses depends on
+    grid_resolution: doubling it does not reproduce the same set.  With
+    g_m = 5/z, at z = 100 and alpha = 2 the search finds one coexistence
+    point at resolution 40, two at 80 and three at 160, all roots of the
+    interpolant within 0.012 of one another in y; on the
+    `perfbench/configs/flow_z200.cfg` game the default resolution of 40
+    finds the saddle near (0.7071, 0.1002) and misses an unstable spiral
+    near (0.7203, 0.2984) that 160 finds.  `test_grid_doubling_invariance`
+    checks the doubling only at games whose rest points are isolated.
     """
     interp = _InterpolatedField(params)
     z = params.z

@@ -14,16 +14,15 @@ compositions of one level share one hypergeometric matrix H[s, k] (k
 cooperators among the N - 1 co-members drawn from the i_m - 1 others, s
 of whom cooperate), and the level's three fitnesses are products of H
 with the payoff grid, `game._payoff_grid`, whose benefit grid also
-gives the means.  Each level's H is built once and only one exists
-at a time: when the flow field asks for the mean marginal return and
-mean benefit, the same H gives them by a second product.  `_means_at`
-takes that product over only the rows of H some states read: the two of
-one state for the pointwise `mean_return`, one whole level for
-`k-profile`.  `_hypergeom_rows` forms the entries of H from
-log-factorials, so they stay finite and accurate for pools of hundreds
-of players.  `fitness_table` memoises the table of the latest
-parameter set and fills it one level at a time, as levels are first read;
-`fitness_at` reads it, zeroing the fitness of strategies nobody plays.
+gives the means.  `FitnessTable._draw` is the one place H is built, and
+only one exists at a time: when the flow field, `k-profile` or
+`mean_return` asks a level for its mean marginal return and mean
+benefit, the same H gives them by a second product.  `_hypergeom_rows`
+forms the entries of H from log-factorials, so they stay finite and
+accurate for pools of hundreds of players.  `fitness_table` memoises
+the table of the latest parameter set and fills it one level at a time,
+as levels are first read; `fitness_at` reads it, zeroing the fitness of
+strategies nobody plays.
 """
 
 from __future__ import annotations
@@ -128,32 +127,6 @@ def _level_fitness(payoffs, draws: np.ndarray, i_m: int) -> np.ndarray:
     return out
 
 
-def _level_means(produced: np.ndarray, draws: np.ndarray, x: np.ndarray, c: float):
-    """(mean_R, mean_b) at consecutive states of one level, of cooperator shares x.
-
-    `produced` is the level's benefit grid and `draws` one more row than x
-    of its co-member draw: state j reads row j as a focal cooperator and
-    row j + 1 as a focal defector, so the whole draw serves i_c = 1..i_m - 1.
-    """
-    r_vals = (produced[1:] - produced[:-1]) / c
-    b_vals = produced / c
-    g = draws @ np.column_stack((r_vals, b_vals[1:], b_vals[:-1]))
-    return 0.5 * (g[1:, 0] + g[:-1, 0]), x * g[:-1, 1] + (1.0 - x) * g[1:, 2]
-
-
-def _means_at(params: GameParams, i_m: int, lo: int, hi: int):
-    """(mean_R, mean_b) at i_c = lo..hi in a coalition of i_m >= 2, drawing only the rows read.
-
-    An edge state (i_c = 0 or i_m) reads its one member view twice, the
-    missing view weighted by zero, so its mean_b is defined and its mean_R
-    is not.  A whole-coalition draw comes out of the kernel as the identity.
-    """
-    n = group_size(params, i_m)
-    rows = np.clip(np.arange(lo - 1, hi + 1), 0, i_m - 1)
-    return _level_means(_payoff_grid(params, n)[3], _hypergeom_rows(i_m - 1, n - 1, rows),
-                        np.arange(lo, hi + 1) / i_m, params.c)
-
-
 class FitnessTable:
     """Fitness of one parameter set over the (i_m, i_c) grid.
 
@@ -168,9 +141,9 @@ class FitnessTable:
 
     A coalition size is computed the first time it is read, so a consumer
     of a few levels pays for those alone; `span` builds a range of them
-    and `grid` builds the rest.  The mean marginal return and mean benefit
-    of the flow field are computed only when `means` asks for them; each
-    level's hypergeometric draw then serves its fitness and its means.
+    and `grid` builds the rest.  `_draw` is the one place a level's
+    hypergeometric draw is made: it serves the level's fitness and, when
+    `means` asks, the flow field's mean marginal return and mean benefit.
     """
 
     def __init__(self, params: GameParams):
@@ -180,18 +153,20 @@ class FitnessTable:
         self._read_only = self._f.view()
         self._read_only.setflags(write=False)
         self._built = [True, True] + [False] * (z - 1)
-        self._means = None
 
-    def _store(self, i_m: int, raw: np.ndarray) -> None:
-        """Write a level's `_level_fitness` into the table."""
-        self._f[:, i_m, : i_m + 1] = raw
-        self._built[i_m] = True
+    def _draw(self, i_m: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Level i_m's `_payoff_grid` and `_level_draws`, storing its fitness the first time."""
+        n = group_size(self.params, i_m)
+        payoffs, draws = _payoff_grid(self.params, n), _level_draws(i_m, n)
+        if not self._built[i_m]:
+            self._f[:, i_m, : i_m + 1] = _level_fitness(payoffs, draws, i_m)
+            self._built[i_m] = True
+        return payoffs, draws
 
     def level(self, i_m: int) -> np.ndarray:
         """(f_c, f_d, f_o) at i_c = 0..i_m as a read-only (3, i_m + 1) view."""
         if not self._built[i_m]:
-            n = group_size(self.params, i_m)
-            self._store(i_m, _level_fitness(_payoff_grid(self.params, n), _level_draws(i_m, n), i_m))
+            self._draw(i_m)
         return self._read_only[:, i_m, : i_m + 1]
 
     def span(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -208,29 +183,20 @@ class FitnessTable:
         """(f_c, f_d, f_o) over the whole grid as read-only (z+2, z+2) arrays."""
         return self.span(2, self.params.z)
 
-    def means(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (mean_R, mean_b) at the states with both member kinds present.
+    def means(self, i_m: int) -> tuple[np.ndarray, np.ndarray]:
+        """(mean_R, mean_b) at i_c = 1..i_m - 1 in a coalition of i_m >= 2, from one draw.
 
-        States run over i_m = 2..z and, within one, i_c = 1..i_m - 1.  A level
-        not built yet takes its fitness from the same draw.
+        State i_c reads row i_c - 1 of the draw as a focal cooperator and row
+        i_c as a focal defector; the two views are averaged for mean_R and
+        weighted by x = i_c / i_m for mean_b.
         """
-        if self._means is None:
-            params, z = self.params, self.params.z
-            mean_r, mean_b = np.empty(z * (z - 1) // 2), np.empty(z * (z - 1) // 2)
-            start = 0
-            for i_m in range(2, z + 1):
-                n = group_size(params, i_m)
-                payoffs, draws = _payoff_grid(params, n), _level_draws(i_m, n)
-                if not self._built[i_m]:
-                    self._store(i_m, _level_fitness(payoffs, draws, i_m))
-                level = slice(start, start + i_m - 1)
-                start += i_m - 1
-                mean_r[level], mean_b[level] = _level_means(payoffs[3], draws,
-                                                          np.arange(1, i_m) / i_m, params.c)
-            mean_r.setflags(write=False)
-            mean_b.setflags(write=False)
-            self._means = mean_r, mean_b
-        return self._means
+        (*_, produced), draws = self._draw(i_m)
+        c = self.params.c
+        r_vals = (produced[1:] - produced[:-1]) / c
+        b_vals = produced / c
+        g = draws @ np.column_stack((r_vals, b_vals[1:], b_vals[:-1]))
+        x = np.arange(1, i_m) / i_m
+        return 0.5 * (g[1:, 0] + g[:-1, 0]), x * g[:-1, 1] + (1.0 - x) * g[1:, 2]
 
 
 @lru_cache(maxsize=1)

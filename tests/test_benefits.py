@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -99,6 +100,22 @@ def test_constructor_rejections():
         BenefitFunction.sigmoid(threshold=1.0)
     with pytest.raises(ValueError):
         BenefitFunction.step(threshold=0.0)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda v: BenefitFunction.linear(slope=v), "slope"),
+    (lambda v: BenefitFunction.step(amplitude=v), "amplitude"),
+    (lambda v: BenefitFunction.sigmoid(amplitude=v), "amplitude"),
+    (lambda v: BenefitFunction.sigmoid(steepness=v), "steepness"),
+    (lambda v: BenefitFunction.tabulated([(0.0, 0.0), (10.0, v)]), "knots"),
+    (lambda v: BenefitFunction.tabulated([(0.0, 0.0), (v, 5.0)]), "knots"),
+], ids=["linear-slope", "step-amplitude", "sigmoid-amplitude", "sigmoid-steepness", "tabulated-B",
+        "tabulated-C"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_constructors_reject_non_finite_parameters(make, name, value):
+    """NaN and +inf fail each shape parameter's check, which names the parameter."""
+    with pytest.raises(ValueError, match=name):
+        make(value)
 
 
 def test_nonpositive_scale_rejected():

@@ -53,7 +53,6 @@ name = stationary
 values = 1, 2
 seed = 3
 steps = 2000
-resolution = 8
 
 [output]
 formats = csv, json
@@ -81,7 +80,6 @@ def test_round_trip_of_every_field(tmp_path):
     assert cfg.values == (1.0, 2.0)
     assert cfg.seed == 3
     assert cfg.steps == 2000
-    assert cfg.resolution == 8
     assert cfg.formats == ("csv", "json")
     assert cfg.out_dir == tmp_path / "out"
 
@@ -516,13 +514,14 @@ def test_s1_compare_equals_pointwise_functions(tmp_path, target):
 
 def test_s1_compare_builds_only_the_levels_next_to_its_slice(tmp_path, monkeypatch):
     built = []
-    real = FitnessTable._store
+    real = FitnessTable._draw
 
-    def spy(self, i_m, raw):
-        built.append((self.params.z, self.params.alpha, i_m))
-        return real(self, i_m, raw)
+    def spy(self, i_m):
+        if not self._built[i_m]:
+            built.append((self.params.z, self.params.alpha, i_m))
+        return real(self, i_m)
 
-    monkeypatch.setattr(FitnessTable, "_store", spy)
+    monkeypatch.setattr(FitnessTable, "_draw", spy)
     fitness_table.cache_clear()
     text = (Path(__file__).parents[1] / "scripts" / "configs" / "size_pair.cfg").read_text()
     cfg = load_config(write_cfg(tmp_path, text), out_dir=tmp_path / "out")
@@ -658,7 +657,8 @@ def _check_state_csvs(tmp_path, base, z):
         assert [(int(row[0]), int(row[1])) for row in rows] == list(zip(c, m - c))
         if name.startswith("field"):
             grid = replicator_field_grid(p, m, c)
-            columns = [*grid[2:4], *fitness_table(p).means(), *grid[4:6]]
+            means = [np.concatenate(a) for a in zip(*map(fitness_table(p).means, range(2, z + 1)))]
+            columns = [*grid[2:4], *means, *grid[4:6]]
         else:
             columns = informed_field_grid(p, m, c)[:2]  # the last two columns
         for j, want in enumerate(columns, start=len(rows[0]) - len(columns)):
@@ -1002,12 +1002,22 @@ def test_cli_unusable_parameter_sets_are_config_errors(tmp_path, capsys, changes
     assert not (tmp_path / "out").exists()
 
 
+SIGMOID = "kind = sigmoid\namplitude = 100\nsteepness = 100\nthreshold = 0.75"
+
+
 @pytest.mark.parametrize("changes", [
     *(((f"{name} = {value}", f"{name} = nan"),) for name, value in
-      (("alpha", "2.0"), ("beta", "0.1"), ("c", "1.0"), ("c_c", "1.0"))),
+      (("alpha", "2.0"), ("beta", "0.1"), ("c", "1.0"), ("c_c", "1.0"),
+       ("amplitude", "100"), ("steepness", "100"))),
     (("name = stationary", "name = sweep-alpha"), ("values = 1, 2", "values = 2 nan")),
-], ids=["alpha", "beta", "c", "c_c", "sweep-values"])
+    *(((SIGMOID, f"kind = {kind}\n{rest}"), (f"{key} = 1", f"{key} = nan")) for kind, rest, key in
+      (("linear", "slope = 1", "slope"), ("step", "amplitude = 1", "amplitude"),
+       ("tabulated", "knots = 1", "knots"))),
+], ids=["alpha", "beta", "c", "c_c", "sigmoid-amplitude", "sigmoid-steepness", "sweep-values", "linear-slope",
+        "step-amplitude", "tabulated-knots"])
 def test_cli_nan_parameters_are_config_errors(tmp_path, capsys, changes):
+    """A NaN stops the run before any output, naming the key; for knots, a file holding one."""
+    (tmp_path / "nan").write_text("C,B\n0,0\n20,nan\n")
     text = BASE
     for change in changes:
         text = text.replace(*change)

@@ -5,7 +5,8 @@ import pytest
 
 from coaldyn import BenefitFunction, GameParams, find_fixed_points
 from coaldyn.replicator import _InterpolatedField
-from coaldyn.sampling import FitnessTable, fitness_table
+from coaldyn import sampling
+from coaldyn.sampling import fitness_table
 
 SIGMOID = BenefitFunction.sigmoid()
 
@@ -175,17 +176,17 @@ def test_rest_points_are_pinned(z, alpha):
 def test_a_cold_search_builds_only_the_levels_it_reads(monkeypatch):
     """The interpolated field reads each fitness level when it evaluates that row, not up front."""
     built, read = [], set()
-    store, row_eval = FitnessTable._store, _InterpolatedField._row_eval
+    level_fitness, row_eval = sampling._level_fitness, _InterpolatedField._row_eval
 
-    def spy_store(self, i_m, raw):
+    def spy_level_fitness(payoffs, draws, i_m):
         built.append(i_m)
-        return store(self, i_m, raw)
+        return level_fitness(payoffs, draws, i_m)
 
     def spy_row_eval(self, i_m, x):
         read.add(i_m)
         return row_eval(self, i_m, x)
 
-    monkeypatch.setattr(FitnessTable, "_store", spy_store)
+    monkeypatch.setattr(sampling, "_level_fitness", spy_level_fitness)
     monkeypatch.setattr(_InterpolatedField, "_row_eval", spy_row_eval)
     fitness_table.cache_clear()
     z = 200

@@ -53,6 +53,14 @@ def test_param_validation_rejects_nan_and_infinite_values(name, value):
         params(**{name: value})
 
 
+@pytest.mark.parametrize("z", [20.0, 20.5, np.float64(20.0), "20"])
+def test_param_validation_rejects_a_non_integer_population(z):
+    """Only an int or a numpy integer is a population size; a float fails at construction."""
+    with pytest.raises(ValueError, match="^z must be an integer"):
+        params(z=z, g_m=0.1)
+    assert params(z=np.int64(20), g_m=0.1).z == 20
+
+
 def test_alpha_infinity_is_the_step_growth_limit():
     """Groups keep the guaranteed footprint until the coalition is everyone; the chain solves."""
     from coaldyn import build_chain, stationary

@@ -39,9 +39,9 @@ from coaldyn.markov import (
     MOVES,
     StateIndex,
     _direct_solve,
+    _fermi_table,
     _power_iteration,
     _residual,
-    fitness_tables,
     literal_row_sum_max,
 )
 from coaldyn.sampling import fitness_at
@@ -299,17 +299,18 @@ def test_capacity_budget_enforced():
         tracemalloc.stop()
 
 
-def test_fitness_tables_match_pointwise_evaluation():
-    """Equal wherever the strategy is played; the chain reads no other entry."""
+def test_fermi_table_matches_pointwise_evaluation():
+    """Equal wherever both strategies of a move are played; the chain reads no other entry."""
     p = params(10, alpha=2.0)
     idx = StateIndex.for_population(10)
-    tables = fitness_tables(p, idx)
+    fermi = _fermi_table(p, idx)
     for i_c, i_d in [(0, 0), (3, 2), (0, 7), (5, 5), (10, 0), (2, 8)]:
         s = idx.index_of(i_c, i_d)
         trip = fitness_at(p, i_c, i_d)
-        for table, want, played in zip(tables, (trip.f_c, trip.f_d, trip.f_o), (i_c, i_d, 10 - i_c - i_d)):
-            if played:
-                assert table[s] == want, (i_c, i_d)
+        fits, played = (trip.f_c, trip.f_d, trip.f_o), (i_c, i_d, 10 - i_c - i_d)
+        for m, (x, y) in enumerate(MOVES):
+            if played[x] and played[y]:
+                assert fermi[s, m] == imitation_probability(p, fits[x], fits[y]), (i_c, i_d, m)
 
 
 # --- imitation rule ----------------------------------------------------------

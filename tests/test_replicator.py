@@ -24,7 +24,7 @@ from coaldyn.experiments import run_experiment
 from coaldyn.game import effective_shares, group_size
 from coaldyn.informed import informed_field
 from coaldyn.replicator import mean_return
-from coaldyn.sampling import _means_at, fitness_at
+from coaldyn.sampling import fitness_at, fitness_table
 from oracles import information_cost_at, informed_field_at, member_means, replicator_field_at
 
 SIGMOID = BenefitFunction.sigmoid()
@@ -107,12 +107,12 @@ def test_mean_return_peaks_near_threshold():
 def test_mean_benefit_trivial_points():
     zero = params(benefit=BenefitFunction.tabulated([(0.0, 0.0), (300.0, 0.0)]), alpha=2.0)
     s = PopulationState(i_c=10, i_d=15, z=60)
-    assert _means_at(zero, s.i_m, s.i_c, s.i_c)[1].item() == pytest.approx(0.0, abs=1e-12)
-    # full cooperation with the whole coalition convening: single composition
+    assert fitness_table(zero).means(s.i_m)[1][s.i_c - 1] == pytest.approx(0.0, abs=1e-12)
+    # the whole coalition convening: both member views see one composition, all i_c cooperators
     p = params(alpha=1.0)
-    full = PopulationState(i_c=24, i_d=0, z=60)
-    want = p.benefit(24.0, 24.0) / p.c
-    assert _means_at(p, full.i_m, full.i_c, full.i_c)[1].item() == pytest.approx(want, abs=1e-12)
+    s = PopulationState(i_c=23, i_d=1, z=60)
+    want = p.benefit(23.0, 24.0) / p.c
+    assert fitness_table(p).means(s.i_m)[1][s.i_c - 1] == pytest.approx(want, abs=1e-12)
 
 
 def test_y_dot_reconstruction_from_mean_benefit():
@@ -131,7 +131,7 @@ def test_y_dot_reconstruction_from_mean_benefit():
             n = group_size(p, s.i_m)
             sh = effective_shares(p, n)
             _, y_dot = replicator_field(p, s)
-            mean_b = _means_at(p, s.i_m, s.i_c, s.i_c)[1].item()
+            mean_b = fitness_table(p).means(s.i_m)[1][s.i_c - 1]
             rhs = s.y * (1.0 - s.y) * p.c * (mean_b * sh.eps1 - s.x - sh.kappa)
             assert y_dot == pytest.approx(rhs, abs=1e-10)
 
@@ -262,10 +262,10 @@ def test_pointwise_functions_match_oracles_at_every_state(z):
                 with pytest.raises(ValueError):
                     mean_return(p, s)
                 continue
-            mean_r, mean_b = member_means(p, s.i_c, s.i_d, group_size(p, i_m))
-            got = _means_at(p, i_m, i_c, i_c)[1].item()
-            assert got == pytest.approx(mean_b, rel=1e-12, abs=0.0), s
             if 1 <= i_c < i_m:
+                mean_r, mean_b = member_means(p, s.i_c, s.i_d, group_size(p, i_m))
+                got = fitness_table(p).means(i_m)[1][i_c - 1]
+                assert got == pytest.approx(mean_b, rel=1e-12, abs=0.0), s
                 assert mean_return(p, s) == pytest.approx(mean_r, rel=1e-12, abs=0.0), s
             else:
                 with pytest.raises(ValueError):

@@ -317,21 +317,23 @@ def test_flow_field_draws_each_level_once(monkeypatch):
     p = GameParams(z=40, g_m=0.05, alpha=4.0, benefit=SIGMOID)
     field = flow_field(p)
     assert sorted(calls) == list(range(2, 41))
-    assert field.mean_r is fitness_table(p).means()[0]
+    table = fitness_table(p)
+    assert all(table._built)
+    for got, i in ((field.mean_r, 0), (field.mean_b, 1)):
+        assert np.array_equal(got, np.concatenate([table.means(i_m)[i] for i_m in range(2, 41)]))
 
 
 def test_chain_and_monte_carlo_never_compute_the_means(monkeypatch):
     def refuse(*args):
         raise AssertionError("mean columns computed")
 
-    monkeypatch.setattr(sampling, "_level_means", refuse)
+    monkeypatch.setattr(sampling.FitnessTable, "means", refuse)
     for alpha, run in ((2.5, lambda p: build_chain(p)),
                        (3.5, lambda p: monte_carlo(p, steps=500, seed=1))):
         fitness_table.cache_clear()
         p = small_params(alpha=alpha)
         run(p)
-        table = fitness_table(p)
-        assert all(table._built) and table._means is None
+        assert all(fitness_table(p)._built)
 
 
 def test_chain_and_simulator_read_no_fitness_of_an_unplayed_strategy(monkeypatch):
