@@ -18,12 +18,11 @@ import configparser
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from inspect import signature
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import ClassVar, get_args, get_origin, get_type_hints
 
 from .benefits import BenefitFunction
 from .errors import ConfigError
 from .game import GameParams
-from .markov import literal_row_sum_max
 
 EXPERIMENTS = (
     "field",
@@ -36,6 +35,7 @@ EXPERIMENTS = (
 )
 
 FORMATS = ("csv", "json", "svg")
+NO_SVG = ("informed-map", "k-profile", "s1-compare")  # draw no panel; every experiment writes CSV and JSON
 
 _BENEFIT_KINDS = ("linear", "sigmoid", "step", "tabulated")
 
@@ -54,45 +54,35 @@ class ExperimentConfig:
     seed: int = 1
     steps: int = 1_000_000
     burn_in: int = 0
-    mutation_form: str = "scaled"
     method: str = "levels"
     z_pair: tuple[int, int] = (100, 50)
     group_size: int = 25
     y_slice: float = 0.5
     out_dir: Path = field(default_factory=lambda: Path("out"), metadata={"section": "output", "key": "dir"})
     formats: tuple[str, ...] = field(default=("csv", "json"), metadata={"section": "output"})
+    # A class constant, not a field, so not a config key.  perfbench/reference.py
+    # reads it until ROADMAP item 1 drops that read; sweep_summary.json echoes it.
+    mutation_form: ClassVar[str] = "scaled"
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; expected one of {', '.join(EXPERIMENTS)}"
             )
-        if not self.formats:
-            raise ConfigError(f"key 'formats' in [output] must list at least one of "
-                              f"{', '.join(FORMATS)}")
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise ConfigError(f"unknown output format {fmt!r}")
+        # A list that selects none of the experiment's outputs would run it whole and write nothing.
+        written = ("csv", "json") if self.experiment in NO_SVG else FORMATS
+        if not set(self.formats) & set(written):
+            raise ConfigError(f"key 'formats' in [output] must list one of the formats "
+                              f"{self.experiment} writes: {', '.join(written)}")
         if not self.values:
             raise ConfigError("key 'values' in [experiment] must list at least one sweep value")
-        if self.mutation_form not in ("scaled", "literal"):
-            raise ConfigError(f"mutation_form must be 'scaled' or 'literal', got {self.mutation_form!r}")
         if self.method not in ("levels", "direct", "power"):
             raise ConfigError(
                 f"method must be 'levels', 'direct' or 'power', got {self.method!r}"
             )
-        if self.experiment == "montecarlo" and self.mutation_form == "literal":
-            raise ConfigError(
-                "the individual-based simulator realizes the scaled mutation form only"
-            )
-        if self.mutation_form == "literal":
-            out_mass = literal_row_sum_max(self.params.z, self.params.mu)
-            if out_mass > 1.0 + 1e-12:
-                raise ConfigError(
-                    f"literal mutation form needs row sums <= 1, but mu = {self.params.mu:g} "
-                    f"at z = {self.params.z} reaches {out_mass:.4f}; "
-                    "use mutation_form = scaled or reduce mu"
-                )
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if not 0 <= self.burn_in < self.steps:

@@ -225,7 +225,7 @@ def _stationary_outputs(cfg: ExperimentConfig, out: _Outputs, params: GameParams
                         with_gradient: bool) -> dict:
     """Writes the stationary law at ``params``, and its gradient if asked, to files
     whose names end in ``tag``; returns its summary."""
-    model = build_chain(params, mutation_form=cfg.mutation_form)
+    model = build_chain(params)
     result = stationary(model, method=cfg.method)
     index = model.index
     out.emit(f"stationary{tag}.csv", write_csv, ("i_C", "i_D", "x", "y", "pi"),

@@ -11,21 +11,14 @@ stationary distribution, computes the per-state drift ("gradient of
 selection"), and provides an individual-based simulator as an independent
 oracle for both.
 
-Transition rule per ordered strategy pair X -> Y (``mutation_form="scaled"``,
-the default):
+Transition rule per ordered strategy pair X -> Y:
 
     T[X->Y] = (i_X / z) * ((1 - mu) * (i_Y / (z - 1)) * p(X, Y) + mu / 2)
 
-with ``p(X, Y) = 1 / (1 + exp(beta * (f_X - f_Y)))``.  The ``"literal"``
-variant adds the mutation term outside the focal-strategy factor,
-
-    T[X->Y] = (i_X / z) * (i_Y / (z - 1)) * p(X, Y) * (1 - mu) + mu / 2
-
-masked to zero when no X-individual exists.  The literal form keeps rows
-stochastic only for small ``mu`` (see ``literal_row_sum_max``; the build
-raises otherwise) and exists for comparison; the simulator realizes the
-scaled form only, which is the one the individual-based process actually
-induces.
+with ``p(X, Y) = 1 / (1 + exp(beta * (f_X - f_Y)))``.  The individual-based
+process induces this rule, so the simulator realizes the same chain.  The
+six moves of a state sum to at most one for every ``mu`` in [0, 1]; the
+self-loop takes the rest.
 """
 
 from __future__ import annotations
@@ -122,20 +115,6 @@ def _fermi_table(params: GameParams, index: StateIndex) -> np.ndarray:
     return table
 
 
-def literal_row_sum_max(z: int, mu: float) -> float:
-    """Largest row out-mass of the literal mutation form over all compositions.
-
-    ``p(X, Y) + p(Y, X) = 1``, so a row's outflow is
-    ``(1 - mu) (i_c i_d + i_c i_o + i_d i_o) / (z (z - 1)) + mu * (strategies
-    present)`` whatever the fitness; it peaks at the most even split with two
-    or with three strategies present.
-    """
-    a, b, c = ((z + k) // 3 for k in range(3))
-    scale = (1.0 - mu) / (z * (z - 1))
-    return max(2.0 * mu + scale * (z // 2) * (z - z // 2),
-               3.0 * mu + scale * (a * b + a * c + b * c))
-
-
 MAX_STATES = 2_000_000  # state budget of `build_chain` and `monte_carlo`
 
 
@@ -168,7 +147,6 @@ class MarkovModel:
     """
 
     params: GameParams
-    mutation_form: str
     index: StateIndex
     move_probs: np.ndarray  # (n_states, 6), column m = prob of MOVES[m]
 
@@ -203,26 +181,21 @@ class MarkovModel:
 
 
 def build_chain(params: GameParams, *, mutation_form: str = "scaled") -> MarkovModel:
-    """Assemble the composition chain under the chosen mutation form.
+    """Assemble the composition chain under the module's transition rule.
 
     Each state has at most six neighbor moves (ordered strategy pairs) plus a
     self-loop absorbing the remainder.  Raises CapacityError, before anything
     is allocated, when the state count exceeds `MAX_STATES` (z above 1 998),
-    ValueError if the literal mutation form would push a row sum above one,
     and ReducibleChainError if ``mu > 0`` yet some composition cannot reach
-    another (``mu`` underflows).
+    another (``mu`` underflows).  ``mutation_form`` accepts ``"scaled"``
+    only: perfbench/reference.py passes it, until ROADMAP item 1 drops that read.
     """
-    if mutation_form not in ("scaled", "literal"):
+    if mutation_form != "scaled":
         raise ValueError(f"unknown mutation_form: {mutation_form!r}")
     z = params.z
     _check_capacity(z)
     index = StateIndex.for_population(z)
     n = index.n_states
-    if mutation_form == "literal" and literal_row_sum_max(z, params.mu) > 1.0 + 1e-12:
-        raise ValueError(
-            "literal mutation form overflows row sums at this mu; "
-            "use mutation_form='scaled' or reduce mu"
-        )
 
     counts = (
         index.i_c_of.astype(float),
@@ -234,18 +207,12 @@ def build_chain(params: GameParams, *, mutation_form: str = "scaled") -> MarkovM
     fermi = _fermi_table(params, index)
     move_probs = np.empty((n, 6))
     for m, (x, y) in enumerate(MOVES):
-        p_xy = fermi[:, m]
-        if mutation_form == "scaled":
-            move_probs[:, m] = (counts[x] / z) * (
-                (1.0 - mu) * (counts[y] / (z - 1)) * p_xy + mu / 2.0
-            )
-        else:
-            term = (counts[x] / z) * (counts[y] / (z - 1)) * p_xy * (1.0 - mu) + mu / 2.0
-            move_probs[:, m] = np.where(counts[x] >= 1.0, term, 0.0)
+        move_probs[:, m] = (counts[x] / z) * (
+            (1.0 - mu) * (counts[y] / (z - 1)) * fermi[:, m] + mu / 2.0
+        )
 
     move_probs.setflags(write=False)
-    model = MarkovModel(params=params, mutation_form=mutation_form, index=index,
-                        move_probs=move_probs)
+    model = MarkovModel(params=params, index=index, move_probs=move_probs)
 
     # With every move open wherever its focal strategy is played, each state
     # drains to (0, 0) and (0, 0) fills to each state.  Only when an underflow

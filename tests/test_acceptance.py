@@ -62,7 +62,11 @@ def interior_states(z: int):
 
 
 def test_criterion_01_whole_coalition_gap_collapses():
-    """alpha = 1: f_C - f_D = -c exactly, for any benefit shape."""
+    """alpha = 1: f_C - f_D = -c exactly, for any benefit shape.
+
+    Claim: "a single coalition ... is prone to cooperative failure", for
+    "arbitrary shapes of the return-to-contribution function".
+    """
     t0 = perf_counter()
     worst = 0.0
     for z in (20, 60):
@@ -81,7 +85,11 @@ def test_criterion_01_whole_coalition_gap_collapses():
 
 
 def test_criterion_02_cancellation_at_alpha_one():
-    """alpha = 1: K_exact equals <R>(eps1 + eps2) at every interior state."""
+    """alpha = 1: K_exact equals <R>(eps1 + eps2) at every interior state.
+
+    Claim: a single coalition's players act "without knowledge of returns
+    to contribution": the information cost cancels the whole return signal.
+    """
     t0 = perf_counter()
     p = GameParams(z=60, alpha=1.0, g_m=0.05, benefit=SIGMOID)
     worst = 0.0
@@ -100,7 +108,11 @@ def test_criterion_02_cancellation_at_alpha_one():
 
 
 def test_criterion_03_identity_closure():
-    """x_dot = x(1-x) c (<R>(eps1+eps2) - 1 - K_exact) at every interior state."""
+    """x_dot = x(1-x) c (<R>(eps1+eps2) - 1 - K_exact) at every interior state.
+
+    Claim: "recognition of marginal gains of cooperation": the flow is the
+    return signal less what the information cost K_exact hides of it.
+    """
     t0 = perf_counter()
     worst = 0.0
     for alpha in (1.0, 2.0, 4.0):
@@ -125,7 +137,11 @@ def test_criterion_03_identity_closure():
 
 
 def test_criterion_04_sampling_against_enumeration():
-    """PMF vs literal subset counting; fitness vs the enumeration oracle."""
+    """PMF vs literal subset counting; fitness vs the enumeration oracle.
+
+    Claim: dilemmas "occur in multiple interactions ... frequently without
+    full information": each player meets a sampled working group.
+    """
     t0 = perf_counter()
     worst_pmf = 0.0
     for pool in range(13):
@@ -157,7 +173,11 @@ def test_criterion_04_sampling_against_enumeration():
 
 
 def test_criterion_05_stationary_solver_and_simulator():
-    """Chain residual at Z = 100; simulator occupancy matches pi at Z = 20."""
+    """Chain residual at Z = 100; simulator occupancy matches pi at Z = 20.
+
+    Claim: "evolution toward a more cooperative, stable, and inclusive
+    approach to governance", read off the finite population's stationary law.
+    """
     t0 = perf_counter()
     model = build_chain(reference(alpha=4.0))
     res = stationary(model, tol=1e-12)  # headroom: the check below is at 1e-10
@@ -185,14 +205,18 @@ def test_criterion_05_stationary_solver_and_simulator():
 def test_criterion_06_stationary_sweep_shifts_toward_cooperation():
     """Sweep alpha in {1, 2, 4, 8} at the z = 100 reference set.
 
+    Claim: "multi-coalition structure of governance experiences relatively
+    higher cooperation" than a single coalition.
+
     Expected: mean_x and mean_y strictly larger at alpha = 8 than at
     alpha = 1, with the mean_x gap above 0.1.  Measured: both means do
     increase strictly, but the mean_x gap lands at about 0.095 — just
     under the 0.1 the criterion demands.  The shortfall is robust to
-    the handling of single-member coalitions in the x-average and is
-    documented in the decisions ledger; the criterion is left red
-    rather than widening the x-summary definition to manufacture a
-    pass.
+    the handling of single-member coalitions in the x-average.  ROADMAP
+    item 4 maps the gap over z, beta and mu: at z = 100 it clears 0.1 at
+    larger beta or mu and turns negative at mu = 0.001.  The criterion
+    is left red rather than widening the x-summary definition to
+    manufacture a pass.
     """
     t0 = perf_counter()
     means = {}
@@ -213,6 +237,9 @@ def test_criterion_06_stationary_sweep_shifts_toward_cooperation():
 
 def test_criterion_07_spiral_to_sink_transition():
     """Sweep alpha in {1.5, 2, 3, 4, 6, 8}: coexistence point classification.
+
+    Claim: evolution toward a "more cooperative, stable" governance as the
+    coalition structure grows more multi-coalition.
 
     Expected: complex Jacobian eigenvalues at some smaller alpha and a
     purely-real negative pair (a sink) at some larger alpha.  Measured:
@@ -252,7 +279,11 @@ def test_criterion_07_spiral_to_sink_transition():
 
 
 def test_criterion_08_chain_drift_aligns_with_replicator_field():
-    """Small-beta expected displacement vs deterministic field direction."""
+    """Small-beta expected displacement vs deterministic field direction.
+
+    Claim: "evolution toward a more cooperative ... governance" is one
+    story, told alike by the finite-population chain and the deterministic flow.
+    """
     t0 = perf_counter()
     worst = 1.0
     checked = 0
@@ -308,7 +339,11 @@ def _matched_slice_gap(z: int, alpha: float, target_group: int) -> float:
 
 
 def test_criterion_09_information_gap_shrinks_with_alpha():
-    """The informed/uninformed flow gap decreases in alpha, at both Z."""
+    """The informed/uninformed flow gap decreases in alpha, at both Z.
+
+    Claim: a multi-coalition structure enables "recognition of marginal
+    gains of cooperation", so knowing the group adds less as alpha grows.
+    """
     t0 = perf_counter()
     gaps = {
         z: [_matched_slice_gap(z, alpha, 25) for alpha in (1.0, 2.0, 4.0, 8.0)]
@@ -350,7 +385,11 @@ formats = csv, json
 
 
 def test_criterion_10_sweep_is_byte_deterministic(tmp_path):
-    """Two runs of the criterion-6 sweep from one config: identical CSVs."""
+    """Two runs of the criterion-6 sweep from one config: identical CSVs.
+
+    Claim: none of its own; it makes criterion 6's "relatively higher
+    cooperation" sweep reproducible byte for byte.
+    """
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text(SWEEP_CONFIG)
     man_a = run_experiment(load_config(cfg_path, out_dir=tmp_path / "a"))

@@ -19,7 +19,7 @@ from coaldyn import (CapacityError, CoaldynError, ConfigError, NonConvergenceErr
                      OutputError, ReducibleChainError, WorkerError, classify_state, experiments,
                      marginal_gains, markov)
 from coaldyn.cli import _build_parser, main
-from coaldyn.config import _SECTIONS, EXPERIMENTS, ExperimentConfig, load_config
+from coaldyn.config import _SECTIONS, EXPERIMENTS, FORMATS, NO_SVG, ExperimentConfig, load_config
 from coaldyn.game import effective_shares, group_size
 from coaldyn.informed import informed_field_grid
 from coaldyn.replicator import BLOCK_ROWS, replicator_field_grid
@@ -132,12 +132,6 @@ def test_unknown_experiment_rejected(tmp_path):
     path = write_cfg(tmp_path, BASE.replace("name = stationary", "name = waterfall"))
     with pytest.raises(ConfigError, match="waterfall"):
         load_config(path)
-
-
-def test_simulator_rejects_literal_mutation_form(tmp_path):
-    text = BASE.replace("name = stationary", "name = montecarlo\nmutation_form = literal")
-    with pytest.raises(ConfigError, match="scaled"):
-        load_config(write_cfg(tmp_path, text))
 
 
 def test_method_defaults_to_levels_and_is_checked(tmp_path):
@@ -948,17 +942,6 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
     assert "thetta" in captured.err
 
 
-def test_cli_literal_overflow_is_a_config_error(tmp_path, capsys):
-    text = BASE.replace("mu = 0.05", "mu = 0.9").replace(
-        "name = stationary", "name = stationary\nmutation_form = literal")
-    code = main(["run", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith("error: config:")
-    assert "literal mutation form" in captured.err
-    assert not (tmp_path / "out").exists()
-
-
 def test_cli_unusable_output_directory_is_a_config_error(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")
@@ -1083,6 +1066,40 @@ def test_cli_empty_format_list_is_a_config_error(tmp_path, capsys, where):
     assert code == 2
     assert captured.err.startswith("error: config: key 'formats' in [output]")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", NO_SVG)
+def test_cli_format_list_that_selects_no_output_is_a_config_error(tmp_path, capsys, name):
+    """An experiment that draws no panel, run with ``--format svg``, would compute
+    everything and write only its manifest."""
+    out = tmp_path / "out"
+    text = BASE.replace("name = stationary", f"name = {name}")
+    code = main(["run", str(write_cfg(tmp_path, text)), "--out", str(out), "--format", "svg"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: config: key 'formats' in [output] must list one of the formats {name} writes: csv, json\n"
+    assert not out.exists()
+
+
+def test_each_experiment_writes_every_format_its_config_accepts(tmp_path):
+    """`NO_SVG` names exactly the experiments that write no SVG file."""
+    with_svg = BASE.replace("formats = csv, json", "formats = csv, json, svg")
+    for name in EXPERIMENTS:
+        (tmp_path / name).mkdir()
+        outputs = run_experiment(run_cfg(tmp_path / name, name, base=with_svg)).outputs
+        suffixes = {file.rpartition(".")[2] for file in outputs}
+        assert suffixes == ({"csv", "json"} if name in NO_SVG else set(FORMATS)), name
+
+
+def test_cli_mutation_form_is_not_a_config_key(tmp_path, capsys):
+    """The chain has one transition rule, so a config cannot name one."""
+    out = tmp_path / "out"
+    text = BASE.replace("name = stationary", "name = stationary\nmutation_form = scaled")
+    code = main(["run", str(write_cfg(tmp_path, text)), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: config: unknown key 'mutation_form' in [experiment]\n"
     assert not out.exists()
 
 

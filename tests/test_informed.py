@@ -169,8 +169,9 @@ def test_alpha_one_informed_sign_tracks_mean_return():
     Holds wherever the dropped remainder does not dominate the signal;
     where |K_dropped| >= |<R>(eps1+eps2) - 1| the exact field can flip
     sign against the leading-term prediction, so that region is excluded
-    here and the failure of the unrestricted claim is recorded in the
-    decisions ledger.
+    here.  The unrestricted claim fails: of the 740 states below with a
+    defined K_dropped, 14 flip, the first at (i_m, i_c) = (4, 2), where
+    the signal is +2.44, K_dropped is -3.09 and x_dot is -0.164.
     """
     p = params(z=40, alpha=1.0)
     checked = 0

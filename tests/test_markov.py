@@ -42,7 +42,6 @@ from coaldyn.markov import (
     _fermi_table,
     _power_iteration,
     _residual,
-    literal_row_sum_max,
 )
 from coaldyn.sampling import fitness_at
 
@@ -144,27 +143,6 @@ def test_transitions_agree_with_move_probs():
             assert dense[s, t] == pytest.approx(p, abs=1e-15)
 
 
-def test_literal_form_small_mu_is_stochastic():
-    model = build_chain(params(10, mu=0.001, beta=0.1), mutation_form="literal")
-    sums = np.asarray(model.transitions.sum(axis=1)).ravel()
-    assert np.max(np.abs(sums - 1.0)) < 1e-12
-
-
-def test_literal_form_overflows_at_large_mu():
-    with pytest.raises(ValueError, match="literal mutation form overflows"):
-        build_chain(params(10, mu=0.5), mutation_form="literal")
-
-
-@pytest.mark.parametrize("z", [4, 5, 10, 11])
-def test_literal_row_sum_bound_is_attained(z):
-    """The closed-form bound is the largest out-mass the literal build produces."""
-    for mu in (0.0, 0.01, 0.05, 0.2):
-        model = build_chain(params(z, mu=mu, beta=0.7, alpha=2.0), mutation_form="literal")
-        out_mass = model.move_probs.sum(axis=1).max()
-        assert out_mass == pytest.approx(literal_row_sum_max(z, mu), rel=0, abs=1e-14)
-    assert literal_row_sum_max(z, 0.5) > 1.0
-
-
 def test_underflowing_mutation_leaves_the_chain_reducible():
     # mu / 2 rounds to zero, so nothing leaves the all-outsider state.
     with pytest.raises(ReducibleChainError, match="not strongly connected"):
@@ -183,9 +161,8 @@ def test_partly_underflowing_mutation_keeps_the_chain_connected():
     assert connected_components(model.transitions, directed=True, connection="strong")[0] == 1
 
 
-@pytest.mark.parametrize("form, mu", [("scaled", 0.01), ("literal", 1e-4)])
-def test_residual_matches_the_sparse_product(form, mu):
-    model = build_chain(params(30, mu=mu, beta=0.3, alpha=4.0), mutation_form=form)
+def test_residual_matches_the_sparse_product():
+    model = build_chain(params(30, mu=0.01, beta=0.3, alpha=4.0))
     t_t = model.transitions.T.tocsr()
     pi = stationary(model).pi
     rough = np.random.default_rng(3).random(model.n_states)
@@ -284,8 +261,9 @@ def test_stationary_bytes_do_not_depend_on_the_cpu_count():
 
 
 def test_unknown_mutation_form_rejected():
-    with pytest.raises(ValueError, match="mutation_form"):
-        build_chain(params(10), mutation_form="fancy")
+    for form in ("fancy", "literal"):
+        with pytest.raises(ValueError, match="mutation_form"):
+            build_chain(params(10), mutation_form=form)
 
 
 def test_capacity_budget_enforced():
@@ -395,13 +373,6 @@ def test_level_solve_matches_sparse_lu(z, alpha):
     direct = stationary(model, method="direct")
     assert 0.5 * np.abs(levels.pi - direct.pi).sum() <= 1e-12
     assert levels.residual < 1e-15
-
-
-def test_level_solve_on_literal_form():
-    model = build_chain(params(16, mu=0.02, beta=0.4, alpha=3.0), mutation_form="literal")
-    levels = stationary(model)
-    direct = stationary(model, method="direct")
-    assert 0.5 * np.abs(levels.pi - direct.pi).sum() <= 1e-12
 
 
 def test_level_solve_is_entrywise_accurate_on_a_selective_chain():

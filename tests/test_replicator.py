@@ -154,10 +154,10 @@ def test_information_recovery_ratio_monotone():
 
     At alpha = 1 the cancellation is total (ratio 1); subsampled groups
     leave more of the return signal standing.  The absolute K_exact
-    moves the *other* way (it grows from exactly 0 with composition
-    variance) -- asserted below, and recorded in the decisions ledger
-    since the build contract restates this property with the direction
-    inverted relative to both the computation and the mechanism.
+    moves the *other* way: it grows from exactly 0 at alpha = 1 as the
+    sampled groups' compositions vary, so a statement that "K_exact
+    falls with alpha" has the direction inverted against both the
+    computation and the mechanism.  Both directions are asserted below.
     """
     for z in (60, 100):
         p0 = dict(z=z, g_m=0.05, benefit=SIGMOID)

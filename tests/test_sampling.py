@@ -338,18 +338,17 @@ def test_chain_and_monte_carlo_never_compute_the_means(monkeypatch):
 
 def test_chain_and_simulator_read_no_fitness_of_an_unplayed_strategy(monkeypatch):
     """Overwriting the entries of strategies nobody plays (f_c at i_c = 0, f_d at
-    i_d = 0, f_o at i_m = z) changes neither the chain's moves, under both mutation
-    forms, nor a two-segment simulator run."""
+    i_d = 0, f_o at i_m = z) changes neither the chain's moves nor a two-segment
+    simulator run."""
     p = small_params(alpha=3.0, beta=0.5, mu=0.05)
     monkeypatch.setattr(markov, "SEGMENT_STEPS", 1_000)
     monkeypatch.setattr(markov, "_usable_cpus", lambda: 2)
 
     def run():
-        moves = [build_chain(p, mutation_form=form).move_probs for form in ("scaled", "literal")]
-        return moves, monte_carlo(p, steps=6_000, seed=4, trajectory_samples=64)
+        return build_chain(p).move_probs, monte_carlo(p, steps=6_000, seed=4, trajectory_samples=64)
 
     fitness_table.cache_clear()
-    (scaled, literal), mc = run()
+    moves, mc = run()
     fitness_table.cache_clear()
     table = fitness_table(p)
     table.grid()
@@ -358,7 +357,7 @@ def test_chain_and_simulator_read_no_fitness_of_an_unplayed_strategy(monkeypatch
     table._f[0, i_m, 0] = rng.uniform(-50.0, 50.0, p.z + 1)
     table._f[1, i_m, i_m] = rng.uniform(-50.0, 50.0, p.z + 1)
     table._f[2, p.z, : p.z + 1] = rng.uniform(-50.0, 50.0, p.z + 1)
-    (scaled_2, literal_2), mc_2 = run()
+    moves_2, mc_2 = run()
     assert fitness_table(p) is table and table._f[2, p.z, 0] != 0.0
-    assert np.array_equal(scaled, scaled_2) and np.array_equal(literal, literal_2)
+    assert np.array_equal(moves, moves_2)
     assert np.array_equal(mc.occupancy, mc_2.occupancy) and np.array_equal(mc.trajectory, mc_2.trajectory)

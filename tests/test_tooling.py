@@ -16,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import coaldyn
@@ -72,3 +73,28 @@ def test_perfbench_scaling_runs_one_size(tmp_path):
     out = tmp_path / ".bench_out" / "scaling"
     assert (out / "stationary_z40.csv").stat().st_size > 0
     assert (out / "panel_z40.svg").read_text().startswith("<svg")
+
+
+def test_perfbench_reference_runs(tmp_path):
+    """`perfbench/reference.py --workload montecarlo`: `load_config`, `cfg.mutation_form`,
+    `build_chain(..., mutation_form=...)` and `model.transitions`."""
+    done = run_python([str(ROOT / "perfbench" / "reference.py"), "--workload", "montecarlo",
+                       "--out", str(tmp_path / "ref.npz")], ROOT)
+    assert done.returncode == 0, done.stderr
+    with np.load(tmp_path / "ref.npz") as laws:
+        assert list(laws) == ["montecarlo/occupancy.csv"]
+        pi = laws["montecarlo/occupancy.csv"]
+    assert pi.shape == (101 * 102 // 2,) and abs(pi.sum() - 1.0) < 1e-12
+
+
+def test_perfbench_traced_worker_runs(tmp_path):
+    """`perfbench/worker.py --workload montecarlo --trace`: `tracing.install` rebinds
+    and wraps its names on `coaldyn.experiments`, and the traced run completes."""
+    out = tmp_path / "out"
+    done = run_python([str(ROOT / "perfbench" / "worker.py"), "--workload", "montecarlo",
+                       "--seed", "1", "--trace", "--out", str(out)], ROOT)
+    assert done.returncode == 0, done.stderr
+    layers = json.loads(done.stdout.strip().splitlines()[-1])["layers"]
+    assert layers["markov.mc_s"] > 0 and layers["sampling.states"] == 101 * 102 // 2
+    assert (out / "spans.json").stat().st_size > 0
+    assert (out / "montecarlo" / "occupancy.csv").stat().st_size > 0
