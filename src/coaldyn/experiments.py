@@ -14,16 +14,24 @@ formats each (N, k) gain cell once.
 
 Per-state work runs in blocks of `BLOCK_ROWS` = 4096 states: the flow
 and informed fields fill their columns a block at a time, and the per-state
-CSVs reach `write_csv` as a generator of per-block zips.  Resident per
-population size are the fitness table, 3 (z + 2)^2 floats (1.0 MB at
-z = 200, 3.9 MB at z = 400), and the state text, about 29 bytes a state
-plus an 8-byte offset (0.74 and 3.1 MB).
+CSVs reach `write_csv` as `_StateRows`, sized and sliceable rows built a
+block at a time as the writer reads them.  Resident per population size are
+the fitness table, 3 (z + 2)^2 floats (1.0 MB at z = 200, 3.9 MB at
+z = 400), and the state text, about 29 bytes a state plus an 8-byte offset
+(0.74 and 3.1 MB).
+
+`write_csv` formats a per-state CSV (stationary, gradient, field,
+informed_map, occupancy) of at least 2 `PART_ROWS` rows in one part per
+usable CPU, later parts in children, but never inside a child: so under
+``taskset -c 0`` every file is written in one process, and the bytes do not
+depend on the split.  Of the shipped and benchmark configs, only the z = 200
+field and informed map and the z = 300 stationary law split.
 
 Every file is written through `_Outputs.emit`, which skips a file whose
 format (the suffix of its name) the run does not ask for before its writer
-runs; per-state rows (`_state_rows`) and SVG arrows are made only as the
-writer reads them.  An OSError while a file or the manifest is written
-raises `OutputError`.
+runs; per-state rows and SVG arrows are made only as the writer reads them.
+An OSError while a file, a part of one or the manifest is written raises
+`OutputError`.
 
 `sweep-alpha` builds, solves and writes its panels in min(panels, usable
 CPUs) child processes forked by `markov._children`, the helper whose children
@@ -40,6 +48,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import shutil
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -67,11 +76,58 @@ from .svg import simplex_svg
 
 # --- deterministic emission ---------------------------------------------
 
+# Fewest rows in a part of a split per-state CSV.  A part's child takes 3-5 ms to fork and
+# collect; a row of one float column takes about 1.6 us to format, and one of six about 5 us
+# (z = 200), so a part of 2**12 rows saves 6.5-20 ms.  With fewer rows, a child may cost more
+# than it saves.
+PART_ROWS = 1 << 12
+
+
+def _write_rows(fh, rows) -> None:
+    for row in rows:
+        fh.write(",".join(map(str, row)) + "\n")
+
+
+def _write_part(path: Path, rows) -> None:
+    """One later part of a split CSV, formatted in a child into a file of its own."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        _write_rows(fh, rows)
+
+
 def write_csv(path: Path, header, rows) -> None:
+    """The header, then one line per row: each cell's ``str()``, comma-separated.
+
+    Per-state rows (`_StateRows`) are split into n = min(usable CPUs, rows //
+    `PART_ROWS`) contiguous parts when n >= 2, which never holds in a child
+    (`markov._usable_cpus`).  Children (`markov._children`) format parts 1 to
+    n - 1 into ``<path>.part<j>``; part 0 is formatted here straight into
+    ``path``, and each later part is then appended in 64 KB chunks and deleted.
+    Any other rows are written here.  The bytes do not depend on the split, and
+    no part file outlives the call, whether it succeeds or fails.
+    """
+    n = min(_usable_cpus(), len(rows) // PART_ROWS) if isinstance(rows, _StateRows) else 1
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
+        if n < 2:
+            _write_rows(fh, rows)
+            return
+        bounds = [len(rows) * j // n for j in range(n + 1)]
+        parts = [Path(f"{path}.part{j}") for j in range(1, n)]
+        try:
+            with _children() as fork:
+                waits = [fork(_write_part, part, rows[lo:hi])
+                         for part, lo, hi in zip(parts, bounds[1:], bounds[2:])]
+                _write_rows(fh, rows[:bounds[1]])
+                fh.flush()
+                for part, wait in zip(parts, waits):
+                    wait()
+                    with open(part, "rb") as src:
+                        shutil.copyfileobj(src, fh.buffer, 1 << 16)
+                    part.unlink()
+        finally:  # after a failure, once the children are reaped
+            for part in parts:
+                if not part.is_dir():  # a directory in the part's place is not the run's to remove
+                    part.unlink(missing_ok=True)
 
 
 def write_svg(path: Path, z: int, **panel) -> None:
@@ -109,8 +165,8 @@ def _sha256(path: Path) -> str:
 def _write(path: Path, writer, *args, **kwargs) -> None:
     try:
         writer(path, *args, **kwargs)
-    except OSError as exc:  # say, a full disk, or a directory where the file should go
-        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+    except OSError as exc:  # say, a full disk, or a directory where the file or a part of it should go
+        raise OutputError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from None
 
 
 class _Outputs:
@@ -177,16 +233,17 @@ def _state_text(z: int) -> tuple[str, np.ndarray]:
 
     State s, in state order, reads text[offsets[s]:offsets[s + 1]], with x
     nan where no member exists.  Formatted once per population size, one
-    i_c row at a time: every panel of a sweep shares it.
+    i_c row at a time: every panel of a sweep shares it.  The y cell takes
+    only z + 1 values, one per coalition size, so each is formatted once.
     """
-    y = (np.arange(z + 1) / z).tolist()
+    y = list(map(str, (np.arange(z + 1) / z).tolist()))
     rows = []
     offsets = np.zeros((z + 1) * (z + 2) // 2 + 1, dtype=np.int64)  # lengths, then their running sum
     start = 1
     for i_c in range(z + 1):
         i_m = np.arange(i_c, z + 1)
         x = np.divide(i_c, i_m, out=np.full(z + 1 - i_c, np.nan), where=i_m > 0)
-        cells = [f"{i_c},{i_d},{xv},{y[m]}" for i_d, (xv, m) in enumerate(zip(x.tolist(), i_m.tolist()))]
+        cells = [f"{i_c},{i_d},{xv},{yv}" for i_d, (xv, yv) in enumerate(zip(x.tolist(), y[i_c:]))]
         offsets[start : start + len(cells)] = list(map(len, cells))
         start += len(cells)
         rows.append("".join(cells))
@@ -195,26 +252,40 @@ def _state_text(z: int) -> tuple[str, np.ndarray]:
     return "".join(rows), offsets
 
 
-def _state_rows(z: int, i_c: np.ndarray, i_d: np.ndarray, *columns: np.ndarray):
+class _StateRows:
     """CSV rows of the states (i_c, i_d): the state's `_state_text`, then its cell of each column.
 
-    The columns are arrays aligned with i_c and i_d.  Lazy: nothing, not even
-    `_state_text`, runs before the writer reads the first row, and rows are
+    The columns are arrays aligned with i_c and i_d.  Sized, and sliced by a
+    range of states, so that `write_csv` can split them.  Lazy: nothing, not
+    even `_state_text`, runs before the writer slices or reads them; slicing
+    formats the state text, so that a split's children inherit it.  Rows are
     built one block of `BLOCK_ROWS` states at a time, as the writer reads them.
     """
-    text, offsets = _state_text(z)
-    first = StateIndex.for_population(z).offsets  # flat index of (i_c, 0)
-    for rows in _row_blocks(len(i_c)):
-        s = first[i_c[rows]] + i_d[rows]
-        yield from zip(map(text.__getitem__, map(slice, offsets[s].tolist(), offsets[s + 1].tolist())),
-                       *(col[rows].tolist() for col in columns))
+
+    def __init__(self, z: int, i_c: np.ndarray, i_d: np.ndarray, *columns: np.ndarray):
+        self.z, self.i_c, self.i_d, self.columns = z, i_c, i_d, columns
+
+    def __len__(self) -> int:
+        return len(self.i_c)
+
+    def __getitem__(self, states: slice) -> _StateRows:
+        _state_text(self.z)
+        return _StateRows(self.z, self.i_c[states], self.i_d[states], *(col[states] for col in self.columns))
+
+    def __iter__(self):
+        text, offsets = _state_text(self.z)
+        first = StateIndex.for_population(self.z).offsets  # flat index of (i_c, 0)
+        for rows in _row_blocks(len(self)):
+            s = first[self.i_c[rows]] + self.i_d[rows]
+            yield from zip(map(text.__getitem__, map(slice, offsets[s].tolist(), offsets[s + 1].tolist())),
+                           *(col[rows].tolist() for col in self.columns))
 
 
 def _simplex_arrows(z: int, i_c, i_d, d_c, d_d, speed):
     """Arrows (i_c, i_d, d_c, d_d, speed) on a lattice of about 14 states per edge.
 
     Keeps the states whose counts are both multiples of the stride and that
-    move at all, in the given order.  Lazy, as `_state_rows` is.
+    move at all, in the given order.  Lazy, as `_StateRows` is.
     """
     stride = max(1, z // 14)
     keep = (i_c % stride == 0) & (i_d % stride == 0) & (speed > 0.0)
@@ -229,12 +300,12 @@ def _stationary_outputs(cfg: ExperimentConfig, out: _Outputs, params: GameParams
     result = stationary(model, method=cfg.method)
     index = model.index
     out.emit(f"stationary{tag}.csv", write_csv, ("i_C", "i_D", "x", "y", "pi"),
-             _state_rows(index.z, index.i_c_of, index.i_d_of, result.pi))
+             _StateRows(index.z, index.i_c_of, index.i_d_of, result.pi))
     arrows = None
     if with_gradient:
         grad = selection_gradient(model)
         out.emit(f"gradient{tag}.csv", write_csv, ("i_C", "i_D", "x", "y", "grad_x", "grad_y", "speed"),
-                 _state_rows(index.z, index.i_c_of, index.i_d_of, grad.grad_x, grad.grad_y, grad.speed))
+                 _StateRows(index.z, index.i_c_of, index.i_d_of, grad.grad_x, grad.grad_y, grad.speed))
         arrows = _simplex_arrows(params.z, index.i_c_of, index.i_d_of, grad.drift_c, grad.drift_d, grad.speed)
     out.emit(f"panel{tag}.svg", write_svg, params.z, arrows=arrows, label=f"alpha = {params.alpha:g}",
              shade=(index.i_c_of, index.i_d_of, result.pi))
@@ -248,7 +319,7 @@ def _run_field(cfg: ExperimentConfig, out: _Outputs) -> None:
     params = cfg.params
     z = params.z
     field = flow_field(params)
-    out.emit("field.csv", write_csv, field.COLUMNS, _state_rows(
+    out.emit("field.csv", write_csv, field.COLUMNS, _StateRows(
         z, field.i_c, field.i_d, field.x_dot, field.y_dot, field.mean_r, field.mean_b,
         field.k_exact, field.k_dropped))
 
@@ -360,7 +431,7 @@ def _run_informed_map(cfg: ExperimentConfig, out: _Outputs) -> None:
         labels.update(map(label.__getitem__, k_rep))
     out.emit("informed_map.csv", write_csv, ("i_C", "i_D", "x", "y", "N", "d_cd", "d_do", "d_co",
                                              "sign_cd", "sign_do", "sign_co", "label", "x_dot", "y_dot"),
-             _state_rows(z, i_c, i_m - i_c, cell_text, x_dot, y_dot))
+             _StateRows(z, i_c, i_m - i_c, cell_text, x_dot, y_dot))
     label_counts = {label or "none": count for label, count in labels.items()}
     out.emit("informed_summary.json", write_json, {"alpha": params.alpha, "z": z, "label_counts": label_counts})
 
@@ -459,7 +530,7 @@ def _run_montecarlo(cfg: ExperimentConfig, out: _Outputs) -> None:
     result = monte_carlo(cfg.params, cfg.steps, cfg.seed, burn_in=cfg.burn_in)
     index = result.index
     out.emit("occupancy.csv", write_csv, ("i_C", "i_D", "x", "y", "occupancy"),
-             _state_rows(index.z, index.i_c_of, index.i_d_of, result.occupancy))
+             _StateRows(index.z, index.i_c_of, index.i_d_of, result.occupancy))
     out.emit("trajectory.csv", write_csv, ("step", "i_C", "i_D"), result.trajectory.tolist())
     out.emit("montecarlo_summary.json", write_json, {
         "steps": result.steps, "burn_in": result.burn_in, "seed": result.seed,

@@ -561,10 +561,17 @@ BLOCK_STEPS = 1 << 13  # `monte_carlo` draws uniforms for this many steps at a t
 SEGMENT_STEPS = 1 << 18
 
 
+_in_child = False  # set in every `_children` child
+
+
 def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has one, 1 without fork."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return cpus if hasattr(os, "fork") else 1
+    """CPUs this process may run on: its affinity mask where the platform has one.
+
+    1 without fork, and 1 in a `_children` child, so that no child forks children of its own.
+    """
+    if _in_child or not hasattr(os, "fork"):
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @contextmanager
@@ -577,11 +584,13 @@ def _children():
     fork that fails, a child that ends without a result, or one whose exception
     cannot be pickled raises `WorkerError`.  Leaving the block kills and reaps every
     child not yet collected.  Children inherit the caller's modules and memos (the
-    fitness table, the state text), which spawned processes would build again.
+    fitness table, the state text), which spawned processes would build again.  A
+    child counts one usable CPU (`_usable_cpus`), so it forks no children of its own.
     """
     pipes = {}
 
     def fork(fn, *args):
+        global _in_child
         r, w = os.pipe()
         try:
             pid = os.fork()
@@ -590,6 +599,7 @@ def _children():
             os.close(w)
             raise WorkerError(f"cannot fork a child process: {exc}") from exc
         if pid == 0:
+            _in_child = True
             try:
                 try:
                     data = pickle.dumps((True, fn(*args)))

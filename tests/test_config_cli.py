@@ -825,10 +825,11 @@ def test_handlers_write_through_the_module_writers(tmp_path, monkeypatch):
 
 def test_outputs_without_fork_match_those_with_fork(tmp_path, monkeypatch):
     """Where the platform cannot fork, a sweep and a simulation run in the calling
-    process and write the bytes of two panels and two segments run in children."""
+    process and write the bytes of two panels and two segments run in children;
+    the field and the informed map, too short to split, write the same bytes either way."""
     monkeypatch.setattr(markov, "SEGMENT_STEPS", 1_000)  # BASE's 2000 steps make two segments
     texts = {name: BASE.replace("name = stationary", f"name = {name}")
-             for name in ("sweep-alpha", "montecarlo")}
+             for name in ("sweep-alpha", "montecarlo", "field", "informed-map")}
     forks, fork = [], os.fork
 
     def counted():
@@ -852,6 +853,109 @@ def test_outputs_without_fork_match_those_with_fork(tmp_path, monkeypatch):
         for file in outputs:
             assert ((tmp_path / "fork" / name / file).read_bytes()
                     == (tmp_path / "nofork" / name / file).read_bytes())
+    assert no_child_processes()
+
+
+PER_STATE_CSVS = ("stationary.csv", "stationary_alpha2.csv", "gradient_alpha2.csv", "field.csv",
+                  "informed_map.csv", "occupancy.csv")
+
+
+@pytest.mark.parametrize("z", [21, 93])  # every per-state CSV under, then over, BLOCK_ROWS rows
+def test_split_csvs_match_one_process_writes(tmp_path, monkeypatch, z):
+    """Every per-state CSV split into four parts, three formatted in children, has the
+    bytes and the manifest checksum of the same CSV written in one process.
+
+    No CSV's row count is a multiple of four, so the parts differ in length.
+    The sweep has one panel, so it writes in the calling process and splits.
+    """
+    monkeypatch.setattr(experiments, "PART_ROWS", 50)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    base = BASE.replace("z = 12", f"z = {z}").replace("values = 1, 2", "values = 2")
+    outputs = {}
+    for cpus in (4, 1):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        outputs[cpus] = {}
+        for name in ("stationary", "sweep-alpha", "field", "informed-map", "montecarlo"):
+            path = write_cfg(tmp_path, base.replace("name = stationary", f"name = {name}"), f"{name}.cfg")
+            outputs[cpus].update(run_experiment(load_config(path, out_dir=tmp_path / str(cpus))).outputs)
+    assert len(forks) == 3 * len(PER_STATE_CSVS)
+    for name in PER_STATE_CSVS:
+        rows = (tmp_path / "1" / name).read_text().count("\n") - 1
+        assert rows % 4 and (rows > BLOCK_ROWS) == (z > 21), (name, rows)
+    assert outputs[4] == outputs[1]
+    for name in outputs[1]:
+        assert (tmp_path / "4" / name).read_bytes() == (tmp_path / "1" / name).read_bytes(), name
+    assert not list(tmp_path.rglob("*.part*"))
+    assert no_child_processes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_children_do_not_fork_children(tmp_path, monkeypatch):
+    """On two CPUs, a sweep whose CSVs are long enough to split forks its two panel
+    children and nothing more: a child counts one usable CPU, so it writes its CSVs
+    in one process.  A simulation forks its segment child and its occupancy CSV's
+    part child, both from the calling process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(experiments, "PART_ROWS", 10)  # BASE's 91 rows make two parts
+    monkeypatch.setattr(markov, "SEGMENT_STEPS", 1_000)  # BASE's 2000 steps make two segments
+    log, fork = tmp_path / "forks", os.fork
+
+    def logged():  # a file, so that forks in children are seen too
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return fork()
+    monkeypatch.setattr(os, "fork", logged)
+    assert markov._usable_cpus() == 2
+    with markov._children() as fork_child:
+        assert fork_child(markov._usable_cpus)() == 1
+    log.unlink()
+    for name in ("sweep-alpha", "montecarlo"):
+        path = write_cfg(tmp_path, BASE.replace("name = stationary", f"name = {name}"), f"{name}.cfg")
+        run_experiment(load_config(path, out_dir=tmp_path / name))
+        assert log.read_text().split() == [str(os.getpid())] * 2, name
+        log.unlink()
+    assert no_child_processes()
+
+
+def split_leftovers(out: Path) -> list[str]:
+    """Part files in ``out``: any entry with ".part" in its name but a directory."""
+    return [p.name for p in out.iterdir() if ".part" in p.name and not p.is_dir()]
+
+
+def test_cli_unwritable_part_is_an_output_error(tmp_path, capsys, monkeypatch):
+    """A directory in the place of the first of two part files exits 6 with one error
+    line naming the part, and leaves neither the second part nor a child behind."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(experiments, "PART_ROWS", 10)  # BASE's 91 rows make three parts
+    out = tmp_path / "out"
+    (out / "stationary.csv.part1").mkdir(parents=True)
+    assert main(["run", str(write_cfg(tmp_path)), "--out", str(out)]) == 6
+    assert capsys.readouterr().err == f"error: output: cannot write {out / 'stationary.csv.part1'}: Is a directory\n"
+    assert (out / "stationary.csv.part1").is_dir() and not split_leftovers(out)
+    assert no_child_processes()
+
+
+def test_cli_reports_a_killed_part_child_as_a_worker_error(tmp_path, capsys, monkeypatch):
+    """A part child SIGKILLed halfway through its file exits 5 with one error line,
+    and leaves no part file and no child behind."""
+    caller, write_rows = os.getpid(), experiments._write_rows
+
+    def killed(fh, rows):
+        if os.getpid() != caller:
+            fh.write("half a part\n")
+            fh.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+        write_rows(fh, rows)
+    monkeypatch.setattr(experiments, "_write_rows", killed)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(experiments, "PART_ROWS", 10)
+    out = tmp_path / "out"
+    assert main(["run", str(write_cfg(tmp_path)), "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: worker: ") and f"killed by signal {int(signal.SIGKILL)} " in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not split_leftovers(out)
     assert no_child_processes()
 
 
