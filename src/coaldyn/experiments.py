@@ -7,31 +7,29 @@ labels, with per-state columns taken from numpy by ``.tolist()`` (SVG
 panels take the arrays); an undefined value is NaN, never None.  `write_csv`
 writes each cell as its ``str()``, the shortest round-trip form for a
 float and ``nan`` for NaN.  The i_C, i_D, x and y cells of a state are
-the same text in every per-state CSV, so `_state_text` formats them
-once per population size, as one string and an int64 offset per state,
-and rows lead with the state's slice of it; likewise `informed-map`
-formats each (N, k) gain cell once.
+formatted once per population size (`staterows.state_text`), and
+per-state rows (`staterows.StateRows`) lead with them; likewise
+`informed-map` formats each (N, k) gain cell once.
 
 Per-state work runs in blocks of `BLOCK_ROWS` = 4096 states: the flow
 and informed fields fill their columns a block at a time, and the per-state
-CSVs reach `write_csv` as `_StateRows`, sized and sliceable rows built a
-block at a time as the writer reads them.  Resident per population size are
-the fitness table, 3 (z + 2)^2 floats (1.0 MB at z = 200, 3.9 MB at
-z = 400), and the state text, about 29 bytes a state plus an 8-byte offset
-(0.74 and 3.1 MB).
+CSVs reach `write_csv` as `StateRows`, built a block at a time as the
+writer reads them.  Resident per population size are the fitness table,
+3 (z + 2)^2 floats (1.0 MB at z = 200, 3.9 MB at z = 400), and the state
+text, about 29 bytes a state plus an 8-byte offset (0.74 and 3.1 MB).
 
-`write_csv` formats a per-state CSV (stationary, gradient, field,
-informed_map, occupancy) of at least 2 `PART_ROWS` rows in one part per
-usable CPU, later parts in children, but never inside a child: so under
-``taskset -c 0`` every file is written in one process, and the bytes do not
-depend on the split.  Of the shipped and benchmark configs, only the z = 200
-field and informed map and the z = 300 stationary law split.
+`write_csv` writes a per-state CSV of at least 2 `staterows.PART_ROWS`
+rows in one part per usable CPU, the later parts in children, except in
+a child or a process held to one CPU (``taskset -c 0``); the bytes do
+not depend on the split (`staterows`).  Of the shipped and benchmark
+configs, only the z = 200 field and informed map and the z = 300
+stationary law split.
 
 Every file is written through `_Outputs.emit`, which skips a file whose
 format (the suffix of its name) the run does not ask for before its writer
-runs; per-state rows and SVG arrows are made only as the writer reads them.
-An OSError while a file, a part of one or the manifest is written raises
-`OutputError`.
+runs; per-state rows and SVG arrows are made only as the writer reads
+them.  An OSError while a file, a part of one or the manifest is written
+raises `OutputError`.
 
 `sweep-alpha` builds, solves and writes its panels in min(panels, usable
 CPUs) child processes forked by `markov._children`, the helper whose children
@@ -48,11 +46,9 @@ import dataclasses
 import hashlib
 import json
 import math
-import shutil
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
 
@@ -66,68 +62,22 @@ from .informed import gains_on_grid, informed_field_grid
 # Not called here, but perfbench/tracing.py wraps these six names on this module:
 # replicator_field, information_cost, mean_return, informed_field, marginal_gains, classify_state.
 from .informed import classify_state, informed_field, marginal_gains  # noqa: F401
-from .markov import (StateIndex, _check_capacity, _children, _summarize, _usable_cpus,
-                     build_chain, monte_carlo, selection_gradient, stationary)
+from .markov import (_check_capacity, _children, _summarize, _usable_cpus, build_chain, monte_carlo,
+                     selection_gradient, stationary)
 from .replicator import _row_blocks, find_fixed_points, flow_field, replicator_field_grid
 from .replicator import information_cost, mean_return, replicator_field  # noqa: F401
 from .sampling import fitness_table
+from .staterows import StateRows, state_text, write_rows
 from .svg import simplex_svg
 
 
 # --- deterministic emission ---------------------------------------------
 
-# Fewest rows in a part of a split per-state CSV.  A part's child takes 3-5 ms to fork and
-# collect; a row of one float column takes about 1.6 us to format, and one of six about 5 us
-# (z = 200), so a part of 2**12 rows saves 6.5-20 ms.  With fewer rows, a child may cost more
-# than it saves.
-PART_ROWS = 1 << 12
-
-
-def _write_rows(fh, rows) -> None:
-    for row in rows:
-        fh.write(",".join(map(str, row)) + "\n")
-
-
-def _write_part(path: Path, rows) -> None:
-    """One later part of a split CSV, formatted in a child into a file of its own."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_rows(fh, rows)
-
-
 def write_csv(path: Path, header, rows) -> None:
-    """The header, then one line per row: each cell's ``str()``, comma-separated.
-
-    Per-state rows (`_StateRows`) are split into n = min(usable CPUs, rows //
-    `PART_ROWS`) contiguous parts when n >= 2, which never holds in a child
-    (`markov._usable_cpus`).  Children (`markov._children`) format parts 1 to
-    n - 1 into ``<path>.part<j>``; part 0 is formatted here straight into
-    ``path``, and each later part is then appended in 64 KB chunks and deleted.
-    Any other rows are written here.  The bytes do not depend on the split, and
-    no part file outlives the call, whether it succeeds or fails.
-    """
-    n = min(_usable_cpus(), len(rows) // PART_ROWS) if isinstance(rows, _StateRows) else 1
+    """The header, then the rows (`staterows.write_rows`, which splits long `StateRows`)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        if n < 2:
-            _write_rows(fh, rows)
-            return
-        bounds = [len(rows) * j // n for j in range(n + 1)]
-        parts = [Path(f"{path}.part{j}") for j in range(1, n)]
-        try:
-            with _children() as fork:
-                waits = [fork(_write_part, part, rows[lo:hi])
-                         for part, lo, hi in zip(parts, bounds[1:], bounds[2:])]
-                _write_rows(fh, rows[:bounds[1]])
-                fh.flush()
-                for part, wait in zip(parts, waits):
-                    wait()
-                    with open(part, "rb") as src:
-                        shutil.copyfileobj(src, fh.buffer, 1 << 16)
-                    part.unlink()
-        finally:  # after a failure, once the children are reaped
-            for part in parts:
-                if not part.is_dir():  # a directory in the part's place is not the run's to remove
-                    part.unlink(missing_ok=True)
+        write_rows(path, fh, rows)
 
 
 def write_svg(path: Path, z: int, **panel) -> None:
@@ -227,65 +177,11 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 
 # --- shared pieces --------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _state_text(z: int) -> tuple[str, np.ndarray]:
-    """The "i_C,i_D,x,y" text of every state, as one string and its int64 offsets.
-
-    State s, in state order, reads text[offsets[s]:offsets[s + 1]], with x
-    nan where no member exists.  Formatted once per population size, one
-    i_c row at a time: every panel of a sweep shares it.  The y cell takes
-    only z + 1 values, one per coalition size, so each is formatted once.
-    """
-    y = list(map(str, (np.arange(z + 1) / z).tolist()))
-    rows = []
-    offsets = np.zeros((z + 1) * (z + 2) // 2 + 1, dtype=np.int64)  # lengths, then their running sum
-    start = 1
-    for i_c in range(z + 1):
-        i_m = np.arange(i_c, z + 1)
-        x = np.divide(i_c, i_m, out=np.full(z + 1 - i_c, np.nan), where=i_m > 0)
-        cells = [f"{i_c},{i_d},{xv},{yv}" for i_d, (xv, yv) in enumerate(zip(x.tolist(), y[i_c:]))]
-        offsets[start : start + len(cells)] = list(map(len, cells))
-        start += len(cells)
-        rows.append("".join(cells))
-    np.cumsum(offsets, out=offsets)
-    offsets.setflags(write=False)
-    return "".join(rows), offsets
-
-
-class _StateRows:
-    """CSV rows of the states (i_c, i_d): the state's `_state_text`, then its cell of each column.
-
-    The columns are arrays aligned with i_c and i_d.  Sized, and sliced by a
-    range of states, so that `write_csv` can split them.  Lazy: nothing, not
-    even `_state_text`, runs before the writer slices or reads them; slicing
-    formats the state text, so that a split's children inherit it.  Rows are
-    built one block of `BLOCK_ROWS` states at a time, as the writer reads them.
-    """
-
-    def __init__(self, z: int, i_c: np.ndarray, i_d: np.ndarray, *columns: np.ndarray):
-        self.z, self.i_c, self.i_d, self.columns = z, i_c, i_d, columns
-
-    def __len__(self) -> int:
-        return len(self.i_c)
-
-    def __getitem__(self, states: slice) -> _StateRows:
-        _state_text(self.z)
-        return _StateRows(self.z, self.i_c[states], self.i_d[states], *(col[states] for col in self.columns))
-
-    def __iter__(self):
-        text, offsets = _state_text(self.z)
-        first = StateIndex.for_population(self.z).offsets  # flat index of (i_c, 0)
-        for rows in _row_blocks(len(self)):
-            s = first[self.i_c[rows]] + self.i_d[rows]
-            yield from zip(map(text.__getitem__, map(slice, offsets[s].tolist(), offsets[s + 1].tolist())),
-                           *(col[rows].tolist() for col in self.columns))
-
-
 def _simplex_arrows(z: int, i_c, i_d, d_c, d_d, speed):
     """Arrows (i_c, i_d, d_c, d_d, speed) on a lattice of about 14 states per edge.
 
     Keeps the states whose counts are both multiples of the stride and that
-    move at all, in the given order.  Lazy, as `_StateRows` is.
+    move at all, in the given order.  Lazy, as `StateRows` are.
     """
     stride = max(1, z // 14)
     keep = (i_c % stride == 0) & (i_d % stride == 0) & (speed > 0.0)
@@ -300,12 +196,12 @@ def _stationary_outputs(cfg: ExperimentConfig, out: _Outputs, params: GameParams
     result = stationary(model, method=cfg.method)
     index = model.index
     out.emit(f"stationary{tag}.csv", write_csv, ("i_C", "i_D", "x", "y", "pi"),
-             _StateRows(index.z, index.i_c_of, index.i_d_of, result.pi))
+             StateRows(index.z, index.i_c_of, index.i_d_of, result.pi))
     arrows = None
     if with_gradient:
         grad = selection_gradient(model)
         out.emit(f"gradient{tag}.csv", write_csv, ("i_C", "i_D", "x", "y", "grad_x", "grad_y", "speed"),
-                 _StateRows(index.z, index.i_c_of, index.i_d_of, grad.grad_x, grad.grad_y, grad.speed))
+                 StateRows(index.z, index.i_c_of, index.i_d_of, grad.grad_x, grad.grad_y, grad.speed))
         arrows = _simplex_arrows(params.z, index.i_c_of, index.i_d_of, grad.drift_c, grad.drift_d, grad.speed)
     out.emit(f"panel{tag}.svg", write_svg, params.z, arrows=arrows, label=f"alpha = {params.alpha:g}",
              shade=(index.i_c_of, index.i_d_of, result.pi))
@@ -319,7 +215,7 @@ def _run_field(cfg: ExperimentConfig, out: _Outputs) -> None:
     params = cfg.params
     z = params.z
     field = flow_field(params)
-    out.emit("field.csv", write_csv, field.COLUMNS, _StateRows(
+    out.emit("field.csv", write_csv, field.COLUMNS, StateRows(
         z, field.i_c, field.i_d, field.x_dot, field.y_dot, field.mean_r, field.mean_b,
         field.k_exact, field.k_dropped))
 
@@ -363,7 +259,7 @@ def _run_sweep_alpha(cfg: ExperimentConfig, out: _Outputs) -> None:
     fork (`markov._children`).
     """
     _check_capacity(cfg.params.z)  # an oversized sweep fails before its state text is formatted
-    _state_text(cfg.params.z)
+    state_text(cfg.params.z)
     jobs = [dataclasses.replace(cfg.params, alpha=alpha) for alpha in cfg.values]
 
     def run(share):
@@ -431,7 +327,7 @@ def _run_informed_map(cfg: ExperimentConfig, out: _Outputs) -> None:
         labels.update(map(label.__getitem__, k_rep))
     out.emit("informed_map.csv", write_csv, ("i_C", "i_D", "x", "y", "N", "d_cd", "d_do", "d_co",
                                              "sign_cd", "sign_do", "sign_co", "label", "x_dot", "y_dot"),
-             _StateRows(z, i_c, i_m - i_c, cell_text, x_dot, y_dot))
+             StateRows(z, i_c, i_m - i_c, cell_text, x_dot, y_dot))
     label_counts = {label or "none": count for label, count in labels.items()}
     out.emit("informed_summary.json", write_json, {"alpha": params.alpha, "z": z, "label_counts": label_counts})
 
@@ -530,7 +426,7 @@ def _run_montecarlo(cfg: ExperimentConfig, out: _Outputs) -> None:
     result = monte_carlo(cfg.params, cfg.steps, cfg.seed, burn_in=cfg.burn_in)
     index = result.index
     out.emit("occupancy.csv", write_csv, ("i_C", "i_D", "x", "y", "occupancy"),
-             _StateRows(index.z, index.i_c_of, index.i_d_of, result.occupancy))
+             StateRows(index.z, index.i_c_of, index.i_d_of, result.occupancy))
     out.emit("trajectory.csv", write_csv, ("step", "i_C", "i_D"), result.trajectory.tolist())
     out.emit("montecarlo_summary.json", write_json, {
         "steps": result.steps, "burn_in": result.burn_in, "seed": result.seed,

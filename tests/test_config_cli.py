@@ -17,15 +17,16 @@ import pytest
 import coaldyn
 from coaldyn import (CapacityError, CoaldynError, ConfigError, NonConvergenceError,
                      OutputError, ReducibleChainError, WorkerError, classify_state, experiments,
-                     marginal_gains, markov)
+                     marginal_gains, markov, staterows)
 from coaldyn.cli import _build_parser, main
 from coaldyn.config import _SECTIONS, EXPERIMENTS, FORMATS, NO_SVG, ExperimentConfig, load_config
 from coaldyn.game import effective_shares, group_size
 from coaldyn.informed import informed_field_grid
 from coaldyn.replicator import BLOCK_ROWS, replicator_field_grid
-from coaldyn.experiments import (_HANDLERS, _config_echo, _matched_members, _state_text,
-                                 run_experiment, write_csv, write_json)
+from coaldyn.experiments import (_HANDLERS, _config_echo, _matched_members, run_experiment, write_csv,
+                                 write_json)
 from coaldyn.sampling import FitnessTable, fitness_at, fitness_table
+from coaldyn.staterows import state_text
 from coaldyn.markov import StateIndex, build_chain, monte_carlo, selection_gradient, stationary
 from coaldyn.svg import simplex_svg
 from oracles import (information_cost_at, informed_field_at, member_means, no_child_processes,
@@ -311,7 +312,7 @@ def test_state_prefix_is_the_text_of_the_state_columns():
         y = i_m / z
         want = [f"{str(a)},{str(b)},{str(c)},{str(d)}"
                 for a, b, c, d in zip(index.i_c_of, index.i_d_of, x, y)]
-        text, offsets = _state_text(z)
+        text, offsets = state_text(z)
         assert offsets.dtype == np.int64 and offsets.shape == (index.n_states + 1,)
         assert offsets[0] == 0 and offsets[-1] == len(text)
         got = [text[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
@@ -673,7 +674,7 @@ def test_field_csv_is_written_in_bounded_memory(tmp_path):
     cfg = load_config(write_cfg(tmp_path, text.replace("formats = csv, json", "formats = csv")),
                       out_dir=tmp_path / "out")
     fitness_table.cache_clear()
-    _state_text.cache_clear()
+    state_text.cache_clear()
     tracemalloc.start()
     try:
         run_experiment(cfg)
@@ -868,13 +869,13 @@ def test_split_csvs_match_one_process_writes(tmp_path, monkeypatch, z):
     No CSV's row count is a multiple of four, so the parts differ in length.
     The sweep has one panel, so it writes in the calling process and splits.
     """
-    monkeypatch.setattr(experiments, "PART_ROWS", 50)
+    monkeypatch.setattr(staterows, "PART_ROWS", 50)
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     base = BASE.replace("z = 12", f"z = {z}").replace("values = 1, 2", "values = 2")
     outputs = {}
     for cpus in (4, 1):
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(staterows, "_usable_cpus", lambda: cpus)
         outputs[cpus] = {}
         for name in ("stationary", "sweep-alpha", "field", "informed-map", "montecarlo"):
             path = write_cfg(tmp_path, base.replace("name = stationary", f"name = {name}"), f"{name}.cfg")
@@ -890,6 +891,24 @@ def test_split_csvs_match_one_process_writes(tmp_path, monkeypatch, z):
     assert no_child_processes()
 
 
+@pytest.mark.parametrize("platform", ["linux", "darwin"])  # a kernel copy of each part, then 64 KB reads
+def test_split_write_appends_every_part(tmp_path, monkeypatch, platform):
+    """Where `os.sendfile` cannot copy file to file, the parts are appended in 64 KB
+    reads; either way the file has the bytes of a write in one process."""
+    z = 200  # 20 301 rows, about 0.6 MB a part in three parts
+    index = StateIndex.for_population(z)
+    pi = np.random.default_rng(z).random(index.n_states)
+    rows = staterows.StateRows(z, index.i_c_of, index.i_d_of, pi)
+    monkeypatch.setattr(staterows, "_usable_cpus", lambda: 1)
+    write_csv(tmp_path / "one.csv", ("i_C", "i_D", "x", "y", "pi"), rows)
+    monkeypatch.setattr(staterows, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(sys, "platform", platform)
+    write_csv(tmp_path / "split.csv", ("i_C", "i_D", "x", "y", "pi"), rows)
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "split.csv"]
+    assert no_child_processes()
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_children_do_not_fork_children(tmp_path, monkeypatch):
     """On two CPUs, a sweep whose CSVs are long enough to split forks its two panel
@@ -897,7 +916,7 @@ def test_children_do_not_fork_children(tmp_path, monkeypatch):
     in one process.  A simulation forks its segment child and its occupancy CSV's
     part child, both from the calling process."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(experiments, "PART_ROWS", 10)  # BASE's 91 rows make two parts
+    monkeypatch.setattr(staterows, "PART_ROWS", 10)  # BASE's 91 rows make two parts
     monkeypatch.setattr(markov, "SEGMENT_STEPS", 1_000)  # BASE's 2000 steps make two segments
     log, fork = tmp_path / "forks", os.fork
 
@@ -926,8 +945,8 @@ def split_leftovers(out: Path) -> list[str]:
 def test_cli_unwritable_part_is_an_output_error(tmp_path, capsys, monkeypatch):
     """A directory in the place of the first of two part files exits 6 with one error
     line naming the part, and leaves neither the second part nor a child behind."""
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(experiments, "PART_ROWS", 10)  # BASE's 91 rows make three parts
+    monkeypatch.setattr(staterows, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(staterows, "PART_ROWS", 10)  # BASE's 91 rows make three parts
     out = tmp_path / "out"
     (out / "stationary.csv.part1").mkdir(parents=True)
     assert main(["run", str(write_cfg(tmp_path)), "--out", str(out)]) == 6
@@ -939,17 +958,17 @@ def test_cli_unwritable_part_is_an_output_error(tmp_path, capsys, monkeypatch):
 def test_cli_reports_a_killed_part_child_as_a_worker_error(tmp_path, capsys, monkeypatch):
     """A part child SIGKILLed halfway through its file exits 5 with one error line,
     and leaves no part file and no child behind."""
-    caller, write_rows = os.getpid(), experiments._write_rows
+    caller, write_lines = os.getpid(), staterows._write_lines
 
     def killed(fh, rows):
         if os.getpid() != caller:
             fh.write("half a part\n")
             fh.flush()
             os.kill(os.getpid(), signal.SIGKILL)
-        write_rows(fh, rows)
-    monkeypatch.setattr(experiments, "_write_rows", killed)
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(experiments, "PART_ROWS", 10)
+        write_lines(fh, rows)
+    monkeypatch.setattr(staterows, "_write_lines", killed)
+    monkeypatch.setattr(staterows, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(staterows, "PART_ROWS", 10)
     out = tmp_path / "out"
     assert main(["run", str(write_cfg(tmp_path)), "--out", str(out)]) == 5
     err = capsys.readouterr().err
