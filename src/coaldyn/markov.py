@@ -30,6 +30,7 @@ import signal
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -45,12 +46,6 @@ MOVE_DELTAS = np.array(
     [(-1, +1), (-1, 0), (+1, -1), (0, -1), (+1, 0), (0, +1)], dtype=np.int64
 )
 MOVE_DELTAS.setflags(write=False)
-
-# PAIR_TO_MOVE[x][y] -> move index, -1 on the diagonal.
-PAIR_TO_MOVE = np.full((3, 3), -1, dtype=np.int64)
-for _m, (_x, _y) in enumerate(MOVES):
-    PAIR_TO_MOVE[_x, _y] = _m
-PAIR_TO_MOVE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -476,7 +471,7 @@ _MUTATION_TARGET = ((None, 2, 1), (None, 2, 0), (None, 1, 0))
 
 
 def _simulate_steps(u: np.ndarray, i_c: int, i_d: int, z: int, mu: float,
-                    fermi: list, pair_move: list, offsets: np.ndarray,
+                    rows: list, offsets: np.ndarray,
                     counts: np.ndarray, start_step: int, burn_in: int,
                     stride: int, traj: np.ndarray, n_traj: int) -> tuple[int, int, int]:
     """Advance the population over one block of pre-drawn uniforms.
@@ -484,14 +479,15 @@ def _simulate_steps(u: np.ndarray, i_c: int, i_d: int, z: int, mu: float,
     ``u`` has one row of four uniforms per step: focal pick, mutation test,
     shared choice (mutation target or role model), Fermi acceptance.  The
     state-free part of every step (focal and role indices, the mutation
-    test and coin) is computed for the whole block in NumPy.  The Python loop
-    then only classifies two indices against ``i_c`` and ``i_c + i_d``, skips
-    steps that leave the state unchanged, and records (step, i_c, i_d) for the
-    others; occupancy (from run lengths) and trajectory rows are read off
-    those records after the loop.
-    ``fermi[i_c][i_d]`` is the state's row of Fermi probabilities and
-    ``pair_move`` is ``PAIR_TO_MOVE``, both as nested lists.  The tests hold
-    it to a plain per-step loop over the same stream, bit for bit.
+    test and coin) is computed for the whole block in NumPy, and a mutation
+    step's acceptance uniform becomes -1.0 in ``u``.  Slot 3 x + y of the
+    state's row ``rows[i_c][i_d]`` holds p(x -> y), the diagonal 0.0.  With
+    each position's strategy in ``cls`` (and 3 times it in ``cls3``), the
+    Python loop skips a step that leaves the state unchanged in one lookup
+    and one comparison; a move relabels one or two positions and records
+    (step, i_c, i_d), off which occupancy (from run lengths) and trajectory
+    rows are read after the loop.  The tests hold it to a plain per-step
+    loop over the same stream, bit for bit.
     """
     n_steps = u.shape[0]
     focal = np.minimum((u[:, 0] * z).astype(np.int64), z - 1)
@@ -499,41 +495,36 @@ def _simulate_steps(u: np.ndarray, i_c: int, i_d: int, z: int, mu: float,
     role += role >= focal
     mutate = u[:, 1] < mu
     role[mutate] = np.where(u[mutate, 2] < 0.5, -1, -2)
+    u[mutate, 3] = -1.0
 
     b = i_c + i_d
-    row = fermi[i_c][i_d]
+    cls = [0] * i_c + [1] * i_d + [2] * (z - b)  # C on [0, i_c), D on [i_c, b), O on [b, z)
+    cls3 = [3 * s for s in cls]
+    row = rows[i_c][i_d]
     changes = [0, i_c, i_d]  # flat (step, i_c, i_d) rows; row 0 is the entry state
     # Read the acceptance column through a memoryview, one float at a time:
     # .tolist() would hold a float object per step of the block (192 KB at 2**13
     # steps), and peak RSS would hinge on whether the allocator finds them free pages.
     for i, f, r, a in zip(range(n_steps), focal.tolist(), role.tolist(), memoryview(u[:, 3])):
-        if f < i_c:
-            sf = 0
-        elif f < b:
-            sf = 1
-        else:
-            sf = 2
-        if r < 0:
-            st = _MUTATION_TARGET[sf][r]
-        else:
-            if r < i_c:
-                st = 0
-            elif r < b:
-                st = 1
-            else:
-                st = 2
-            if st == sf or not a < row[pair_move[sf][st]]:
-                continue
-        if sf == 0:
+        if not a < row[cls3[f] + cls[r]]:
+            continue
+        sf = cls[f]
+        st = cls[r] if r >= 0 else _MUTATION_TARGET[sf][r]
+        # X -> Y is X -> D, then D -> Y, each moving one block boundary by one position.
+        if sf == 2:  # the first O turns D
+            cls[b], cls3[b] = 1, 3
+            b += 1
+        elif sf == 0:  # the last C turns D
             i_c -= 1
-        elif sf == 1:
-            i_d -= 1
-        if st == 0:
+            cls[i_c], cls3[i_c] = 1, 3
+        if st == 0:  # the first D turns C; after O -> D at i_d = 0, the same position
+            cls[i_c], cls3[i_c] = 0, 0
             i_c += 1
-        elif st == 1:
-            i_d += 1
-        b = i_c + i_d
-        row = fermi[i_c][i_d]
+        elif st == 2:  # the last D turns O; after C -> D at i_d = 0, the same position
+            b -= 1
+            cls[b], cls3[b] = 2, 6
+        i_d = b - i_c
+        row = rows[i_c][i_d]
         changes += (i, i_c, i_d)
 
     # Row j's state holds from its step up to the next row's (or the block end).
@@ -556,8 +547,8 @@ def _simulate_steps(u: np.ndarray, i_c: int, i_d: int, z: int, mu: float,
 
 
 BLOCK_STEPS = 1 << 13  # `monte_carlo` draws uniforms for this many steps at a time
-# Shortest `monte_carlo` segment worth a child process: about 0.1 s of steps at z = 100, against
-# 3-5 ms to fork a child and read its result and some 3 * 10**4 steps for its guess to meet.
+# Shortest `monte_carlo` segment worth a child process: about 0.06 s of steps at z = 100, against
+# some 3 ms to fork a child and read its result and some 3 * 10**4 steps for its guess to meet.
 SEGMENT_STEPS = 1 << 18
 
 
@@ -655,16 +646,21 @@ def _stepper(params: GameParams, index: StateIndex, seed: int, burn_in: int, str
     z, mu = params.z, params.mu
     offsets = np.asarray(index.offsets)
     fermi = _fermi_table(params, index)
-    fermi = [fermi[o:o + z + 1 - k].tolist() for k, o in enumerate(offsets.tolist())]
-    pair_move = PAIR_TO_MOVE.tolist()
+    rows, diag = [], repeat(0.0)  # one 0.0 object on every diagonal
+    for k, o in enumerate(offsets.tolist()):  # the states at i_c = k
+        slots, same = [diag] * 9, {}  # one float object per distinct probability in the level
+        for m, (x, y) in enumerate(MOVES):
+            column = fermi[o:o + z + 1 - k, m].tolist()
+            slots[3 * x + y] = map(same.setdefault, column, column)
+        rows.append(tuple(zip(*slots)))  # a tuple, unlike a list, keeps no spare slots
 
     def blocks(i_c, i_d, start, stop, counts, traj):
         rng = _stream(seed, start)
         step = start
         while step < stop:
             u = rng.random((min(BLOCK_STEPS, stop - step), 4))
-            i_c, i_d, step = _simulate_steps(u, i_c, i_d, z, mu, fermi, pair_move, offsets,
-                                             counts, step, burn_in, stride, traj, n_traj)
+            i_c, i_d, step = _simulate_steps(u, i_c, i_d, z, mu, rows, offsets, counts, step,
+                                             burn_in, stride, traj, n_traj)
             yield i_c, i_d, step
     return blocks
 

@@ -499,7 +499,7 @@ def stationary_longdouble(i_c: np.ndarray, i_d: np.ndarray, move_probs: np.ndarr
 
 
 def _simulate_block(u: np.ndarray, i_c: int, i_d: int, z: int, mu: float,
-                    fermi: list, pair_move: list, offsets: np.ndarray,
+                    rows: list, offsets: np.ndarray,
                     counts: np.ndarray, start_step: int, burn_in: int,
                     stride: int, traj: np.ndarray, n_traj: int) -> tuple[int, int, int]:
     """Per-step reference for `coaldyn.markov._simulate_steps`, with its signature.
@@ -507,9 +507,10 @@ def _simulate_block(u: np.ndarray, i_c: int, i_d: int, z: int, mu: float,
     ``u`` has one row of four uniforms per step: focal pick, mutation test,
     shared choice (mutation target or role model), Fermi acceptance.  Each
     step is taken in full, one after another, from the same stride-4 stream,
-    so a run equals the engine's whatever the block size.  ``fermi[i_c][i_d]``
-    is the state's row of Fermi probabilities and ``pair_move[x][y]`` the
-    move index, both nested lists.
+    so a run equals the engine's whatever the block size.  Each step's
+    focal and role strategies come from comparing their indices with
+    ``i_c`` and ``i_c + i_d``; slot 3 x + y of ``rows[i_c][i_d]`` is the
+    Fermi probability that an x-player adopts y.
     """
     n_steps = u.shape[0]
     for i in range(n_steps):
@@ -545,8 +546,7 @@ def _simulate_block(u: np.ndarray, i_c: int, i_d: int, z: int, mu: float,
             else:
                 strat_r = 2
             if strat_r != strat_f:
-                move = pair_move[strat_f][strat_r]
-                if u[i, 3] < fermi[i_c][i_d][move]:
+                if u[i, 3] < rows[i_c][i_d][3 * strat_f + strat_r]:
                     strat_t = strat_r
 
         if strat_t >= 0:

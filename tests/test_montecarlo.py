@@ -1,6 +1,7 @@
 """Individual-based simulator: determinism, the kernel against its per-step reference, and sanity."""
 
 import errno
+import inspect
 import os
 import signal
 import time
@@ -84,6 +85,51 @@ def test_interpreted_kernel_matches_per_step_reference(
         ref = run_in_blocks(monkeypatch, block_steps, p, **kw)
     assert np.array_equal(fast.occupancy, ref.occupancy)
     assert np.array_equal(fast.trajectory, ref.trajectory)
+
+
+def test_reference_has_the_kernel_signature():
+    """The tests swap `oracles._simulate_block` in for `_simulate_steps`, so both take the same arguments."""
+    assert inspect.signature(markov._simulate_steps) == inspect.signature(_simulate_block)
+
+
+@pytest.mark.parametrize("beta", [0.1, 5.0])
+@pytest.mark.parametrize("mu", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("z", [4, 5, 7, 12])
+def test_kernel_matches_per_step_reference_from_corners_and_edges(monkeypatch, z, mu, beta):
+    """At the smallest valid games, from each corner and edge of the simplex, the kernel's
+    relabelled positions give the reference's state at every step.  There a move often
+    empties a block, as C -> O and O -> C at i_d = 0 relabel one position twice."""
+    p = params(z, g_m=0.5, mu=mu, beta=beta)
+    for initial in [(z, 0), (0, z), (0, 0), (z - 1, 0), (1, 0), (0, 1), (z // 3, z // 3)]:
+        kw = dict(steps=2_000, seed=z + initial[0], initial=initial, trajectory_samples=2_000)
+        fast = run_in_blocks(monkeypatch, 333, p, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(markov, "_simulate_steps", _simulate_block)
+            ref = run_in_blocks(monkeypatch, 333, p, **kw)
+        assert np.array_equal(fast.trajectory, ref.trajectory), initial
+        assert np.array_equal(fast.occupancy, ref.occupancy), initial
+
+
+def test_stepper_rows_hold_the_fermi_table(monkeypatch):
+    """Slot 3 x + y of the row `_stepper` hands the kernel is `_fermi_table`'s column of
+    MOVES (x, y), bit for bit, and the diagonal slots are 0.0."""
+    p = params(7, g_m=0.5, beta=5.0)
+    index = markov.StateIndex.for_population(p.z)
+    seen = []
+
+    def spy(u, i_c, i_d, z, mu, rows, offsets, counts, start_step, *rest):
+        seen.append(rows)
+        return i_c, i_d, start_step + u.shape[0]
+
+    monkeypatch.setattr(markov, "_simulate_steps", spy)
+    list(markov._stepper(p, index, 1, 0, 0, 0)(0, 0, 0, 10, None, None))
+    rows = np.array([row for level in seen[0] for row in level])
+    fermi = markov._fermi_table(p, index)
+    expected = np.zeros((index.n_states, 9))
+    for m, (x, y) in enumerate(markov.MOVES):
+        expected[:, 3 * x + y] = fermi[:, m]
+    assert np.array_equal(rows, expected)
+    assert [len(level) for level in seen[0]] == list(range(p.z + 1, 0, -1))
 
 
 def run_in_segments(monkeypatch, segments, block_steps, *args, **kw):
