@@ -8,28 +8,21 @@ panels take the arrays); an undefined value is NaN, never None.  `write_csv`
 writes each cell as its ``str()``, the shortest round-trip form for a
 float and ``nan`` for NaN.  The i_C, i_D, x and y cells of a state are
 formatted once per population size (`staterows.state_text`), and
-per-state rows (`staterows.StateRows`) lead with them; likewise
+per-state rows (`staterows.state_rows`) lead with them; likewise
 `informed-map` formats each (N, k) gain cell once.
 
 Per-state work runs in blocks of `BLOCK_ROWS` = 4096 states: the flow
 and informed fields fill their columns a block at a time, and the per-state
-CSVs reach `write_csv` as `StateRows`, built a block at a time as the
+CSVs reach `write_csv` as `state_rows`, built a block at a time as the
 writer reads them.  Resident per population size are the fitness table,
 3 (z + 2)^2 floats (1.0 MB at z = 200, 3.9 MB at z = 400), and the state
 text, about 29 bytes a state plus an 8-byte offset (0.74 and 3.1 MB).
 
-`write_csv` writes a per-state CSV of at least 2 `staterows.PART_ROWS`
-rows in one part per usable CPU, the later parts in children, except in
-a child or a process held to one CPU (``taskset -c 0``); the bytes do
-not depend on the split (`staterows`).  Of the shipped and benchmark
-configs, only the z = 200 field and informed map and the z = 300
-stationary law split.
-
 Every file is written through `_Outputs.emit`, which skips a file whose
 format (the suffix of its name) the run does not ask for before its writer
 runs; per-state rows and SVG arrows are made only as the writer reads
-them.  An OSError while a file, a part of one or the manifest is written
-raises `OutputError`.
+them.  An OSError while a file or the manifest is written raises
+`OutputError`.
 
 `sweep-alpha` builds, solves and writes its panels in min(panels, usable
 CPUs) child processes forked by `markov._children`, the helper whose children
@@ -67,17 +60,18 @@ from .markov import (_check_capacity, _children, _summarize, _usable_cpus, build
 from .replicator import _row_blocks, find_fixed_points, flow_field, replicator_field_grid
 from .replicator import information_cost, mean_return, replicator_field  # noqa: F401
 from .sampling import fitness_table
-from .staterows import StateRows, state_text, write_rows
+from .staterows import state_rows, state_text
 from .svg import simplex_svg
 
 
 # --- deterministic emission ---------------------------------------------
 
 def write_csv(path: Path, header, rows) -> None:
-    """The header, then the rows (`staterows.write_rows`, which splits long `StateRows`)."""
+    """The header, then each row's cells, as their ``str()``, comma-separated, a line a row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        write_rows(path, fh, rows)
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def write_svg(path: Path, z: int, **panel) -> None:
@@ -115,7 +109,7 @@ def _sha256(path: Path) -> str:
 def _write(path: Path, writer, *args, **kwargs) -> None:
     try:
         writer(path, *args, **kwargs)
-    except OSError as exc:  # say, a full disk, or a directory where the file or a part of it should go
+    except OSError as exc:  # say, a full disk, or a directory where the file should go
         raise OutputError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from None
 
 
@@ -181,7 +175,7 @@ def _simplex_arrows(z: int, i_c, i_d, d_c, d_d, speed):
     """Arrows (i_c, i_d, d_c, d_d, speed) on a lattice of about 14 states per edge.
 
     Keeps the states whose counts are both multiples of the stride and that
-    move at all, in the given order.  Lazy, as `StateRows` are.
+    move at all, in the given order.  Lazy, as `state_rows` is.
     """
     stride = max(1, z // 14)
     keep = (i_c % stride == 0) & (i_d % stride == 0) & (speed > 0.0)
@@ -196,12 +190,12 @@ def _stationary_outputs(cfg: ExperimentConfig, out: _Outputs, params: GameParams
     result = stationary(model, method=cfg.method)
     index = model.index
     out.emit(f"stationary{tag}.csv", write_csv, ("i_C", "i_D", "x", "y", "pi"),
-             StateRows(index.z, index.i_c_of, index.i_d_of, result.pi))
+             state_rows(index.z, index.i_c_of, index.i_d_of, result.pi))
     arrows = None
     if with_gradient:
         grad = selection_gradient(model)
         out.emit(f"gradient{tag}.csv", write_csv, ("i_C", "i_D", "x", "y", "grad_x", "grad_y", "speed"),
-                 StateRows(index.z, index.i_c_of, index.i_d_of, grad.grad_x, grad.grad_y, grad.speed))
+                 state_rows(index.z, index.i_c_of, index.i_d_of, grad.grad_x, grad.grad_y, grad.speed))
         arrows = _simplex_arrows(params.z, index.i_c_of, index.i_d_of, grad.drift_c, grad.drift_d, grad.speed)
     out.emit(f"panel{tag}.svg", write_svg, params.z, arrows=arrows, label=f"alpha = {params.alpha:g}",
              shade=(index.i_c_of, index.i_d_of, result.pi))
@@ -215,7 +209,7 @@ def _run_field(cfg: ExperimentConfig, out: _Outputs) -> None:
     params = cfg.params
     z = params.z
     field = flow_field(params)
-    out.emit("field.csv", write_csv, field.COLUMNS, StateRows(
+    out.emit("field.csv", write_csv, field.COLUMNS, state_rows(
         z, field.i_c, field.i_d, field.x_dot, field.y_dot, field.mean_r, field.mean_b,
         field.k_exact, field.k_dropped))
 
@@ -327,7 +321,7 @@ def _run_informed_map(cfg: ExperimentConfig, out: _Outputs) -> None:
         labels.update(map(label.__getitem__, k_rep))
     out.emit("informed_map.csv", write_csv, ("i_C", "i_D", "x", "y", "N", "d_cd", "d_do", "d_co",
                                              "sign_cd", "sign_do", "sign_co", "label", "x_dot", "y_dot"),
-             StateRows(z, i_c, i_m - i_c, cell_text, x_dot, y_dot))
+             state_rows(z, i_c, i_m - i_c, cell_text, x_dot, y_dot))
     label_counts = {label or "none": count for label, count in labels.items()}
     out.emit("informed_summary.json", write_json, {"alpha": params.alpha, "z": z, "label_counts": label_counts})
 
@@ -426,7 +420,7 @@ def _run_montecarlo(cfg: ExperimentConfig, out: _Outputs) -> None:
     result = monte_carlo(cfg.params, cfg.steps, cfg.seed, burn_in=cfg.burn_in)
     index = result.index
     out.emit("occupancy.csv", write_csv, ("i_C", "i_D", "x", "y", "occupancy"),
-             StateRows(index.z, index.i_c_of, index.i_d_of, result.occupancy))
+             state_rows(index.z, index.i_c_of, index.i_d_of, result.occupancy))
     out.emit("trajectory.csv", write_csv, ("step", "i_C", "i_D"), result.trajectory.tolist())
     out.emit("montecarlo_summary.json", write_json, {
         "steps": result.steps, "burn_in": result.burn_in, "seed": result.seed,

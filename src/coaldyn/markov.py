@@ -569,6 +569,7 @@ def _usable_cpus() -> int:
 def _children():
     """Yields ``fork(fn, *args)``: it calls ``fn(*args)`` in a forked child and returns
     a function that waits for the child and returns or raises what it sent.
+    Its users are `sweep-alpha`'s panels and `monte_carlo`'s segments.
 
     Each child pickles its result or exception down its own pipe, which is read to
     EOF before the child is reaped (a child blocked on a full pipe never exits).  A

@@ -8,8 +8,9 @@ textbook closed forms for solver validation (birth-death chains,
 repeated squaring), a step-by-step loop for the Monte Carlo
 kernel, the SVG shade dots one state at a time, and the flow quantities
 one state at a time, from a fitness callable the test passes in.  None
-of it imports from coaldyn except the parameter container, so agreement
-is evidence and not tautology.
+of it imports from coaldyn except the parameter container and, in
+`small_mutation_limit`, the fitness table, so agreement is evidence and
+not tautology.
 """
 
 from __future__ import annotations
@@ -410,6 +411,44 @@ def birth_death_pi(up: np.ndarray, down: np.ndarray) -> np.ndarray:
     log_pi -= log_pi.max()
     pi = np.exp(log_pi)
     return pi / pi.sum()
+
+
+def small_mutation_limit(params) -> np.ndarray:
+    """Weights of the all-C, all-D and all-O corners of the stationary law as mu -> 0.
+
+    With rare mutations the population sits in a corner until one mutant
+    appears, and fixes or dies out before the next (Fudenberg & Imhof 2006,
+    J. Econ. Theory 131).  Every corner mutates to each other strategy at the
+    same rate, so the weights are the stationary law of the 3-state chain
+    whose X -> Y rate is the fixation probability of one Y among z - 1 X:
+    1 / sum_{j=0}^{z-1} prod_{i=1}^{j} p(Y, X) / p(X, Y) at i Y-players, where
+    the Fermi rule makes each ratio exp(beta (f_X - f_Y)).  Sums of products
+    are taken in log space, and the 3-state law by the Markov chain tree
+    theorem: at beta = 1 the products span hundreds of orders of magnitude.
+    Fitness along the edges is the package's `fitness_table`, the one input
+    taken from coaldyn, since the solve is what this checks.
+    """
+    from coaldyn.sampling import fitness_table
+
+    z, beta = params.z, params.beta
+    f = dict(zip("CDO", fitness_table(params).grid()))  # each [i_m, i_c]
+    k = np.arange(1, z)
+    at = {  # (X, Y): grid cells (i_m, i_c) with k = 1..z-1 Y-players among z - k X-players
+        ("C", "D"): (z, z - k), ("D", "C"): (z, k),
+        ("C", "O"): (z - k, z - k), ("O", "C"): (k, k),
+        ("D", "O"): (z - k, 0), ("O", "D"): (k, 0),
+    }
+    log_rate = {}
+    for (x, y), cell in at.items():
+        log_products = np.concatenate([[0.0], np.cumsum(beta * (f[x][cell] - f[y][cell]))])
+        log_rate[x, y] = -np.logaddexp.reduce(log_products)
+    log_w = np.array([  # the trees into x: y -> x <- o, y -> o -> x and o -> y -> x
+        np.logaddexp.reduce([log_rate[y, x] + log_rate[o, x], log_rate[y, o] + log_rate[o, x],
+                             log_rate[o, y] + log_rate[y, x]])
+        for x, y, o in (("C", "D", "O"), ("D", "O", "C"), ("O", "C", "D"))
+    ])
+    w = np.exp(log_w - log_w.max())
+    return w / w.sum()
 
 
 def stationary_by_squaring(dense: np.ndarray, doublings: int = 60) -> np.ndarray:

@@ -17,7 +17,7 @@ import pytest
 import coaldyn
 from coaldyn import (CapacityError, CoaldynError, ConfigError, NonConvergenceError,
                      OutputError, ReducibleChainError, WorkerError, classify_state, experiments,
-                     marginal_gains, markov, staterows)
+                     marginal_gains, markov)
 from coaldyn.cli import _build_parser, main
 from coaldyn.config import _SECTIONS, EXPERIMENTS, FORMATS, NO_SVG, ExperimentConfig, load_config
 from coaldyn.game import effective_shares, group_size
@@ -827,7 +827,7 @@ def test_handlers_write_through_the_module_writers(tmp_path, monkeypatch):
 def test_outputs_without_fork_match_those_with_fork(tmp_path, monkeypatch):
     """Where the platform cannot fork, a sweep and a simulation run in the calling
     process and write the bytes of two panels and two segments run in children;
-    the field and the informed map, too short to split, write the same bytes either way."""
+    the field and the informed map, which fork nothing, write the same bytes either way."""
     monkeypatch.setattr(markov, "SEGMENT_STEPS", 1_000)  # BASE's 2000 steps make two segments
     texts = {name: BASE.replace("name = stationary", f"name = {name}")
              for name in ("sweep-alpha", "montecarlo", "field", "informed-map")}
@@ -857,66 +857,31 @@ def test_outputs_without_fork_match_those_with_fork(tmp_path, monkeypatch):
     assert no_child_processes()
 
 
-PER_STATE_CSVS = ("stationary.csv", "stationary_alpha2.csv", "gradient_alpha2.csv", "field.csv",
-                  "informed_map.csv", "occupancy.csv")
+@pytest.mark.parametrize("name", ["field", "informed-map"])
+def test_large_per_state_csvs_are_written_without_a_fork(tmp_path, monkeypatch, name):
+    """On two CPUs, the field and the informed map at z = 130, over 8 192 rows each,
+    write every file in the calling process: with `os.fork` refusing, they write the
+    bytes and the manifest checksums of a run that may fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    path = write_cfg(tmp_path, BASE.replace("z = 12", "z = 130").replace("name = stationary", f"name = {name}"))
+    outputs = run_experiment(load_config(path, out_dir=tmp_path / "fork")).outputs
 
-
-@pytest.mark.parametrize("z", [21, 93])  # every per-state CSV under, then over, BLOCK_ROWS rows
-def test_split_csvs_match_one_process_writes(tmp_path, monkeypatch, z):
-    """Every per-state CSV split into four parts, three formatted in children, has the
-    bytes and the manifest checksum of the same CSV written in one process.
-
-    No CSV's row count is a multiple of four, so the parts differ in length.
-    The sweep has one panel, so it writes in the calling process and splits.
-    """
-    monkeypatch.setattr(staterows, "PART_ROWS", 50)
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    base = BASE.replace("z = 12", f"z = {z}").replace("values = 1, 2", "values = 2")
-    outputs = {}
-    for cpus in (4, 1):
-        monkeypatch.setattr(staterows, "_usable_cpus", lambda: cpus)
-        outputs[cpus] = {}
-        for name in ("stationary", "sweep-alpha", "field", "informed-map", "montecarlo"):
-            path = write_cfg(tmp_path, base.replace("name = stationary", f"name = {name}"), f"{name}.cfg")
-            outputs[cpus].update(run_experiment(load_config(path, out_dir=tmp_path / str(cpus))).outputs)
-    assert len(forks) == 3 * len(PER_STATE_CSVS)
-    for name in PER_STATE_CSVS:
-        rows = (tmp_path / "1" / name).read_text().count("\n") - 1
-        assert rows % 4 and (rows > BLOCK_ROWS) == (z > 21), (name, rows)
-    assert outputs[4] == outputs[1]
-    for name in outputs[1]:
-        assert (tmp_path / "4" / name).read_bytes() == (tmp_path / "1" / name).read_bytes(), name
-    assert not list(tmp_path.rglob("*.part*"))
-    assert no_child_processes()
-
-
-@pytest.mark.parametrize("platform", ["linux", "darwin"])  # a kernel copy of each part, then 64 KB reads
-def test_split_write_appends_every_part(tmp_path, monkeypatch, platform):
-    """Where `os.sendfile` cannot copy file to file, the parts are appended in 64 KB
-    reads; either way the file has the bytes of a write in one process."""
-    z = 200  # 20 301 rows, about 0.6 MB a part in three parts
-    index = StateIndex.for_population(z)
-    pi = np.random.default_rng(z).random(index.n_states)
-    rows = staterows.StateRows(z, index.i_c_of, index.i_d_of, pi)
-    monkeypatch.setattr(staterows, "_usable_cpus", lambda: 1)
-    write_csv(tmp_path / "one.csv", ("i_C", "i_D", "x", "y", "pi"), rows)
-    monkeypatch.setattr(staterows, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(sys, "platform", platform)
-    write_csv(tmp_path / "split.csv", ("i_C", "i_D", "x", "y", "pi"), rows)
-    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "split.csv"]
-    assert no_child_processes()
+    def refuse():
+        raise AssertionError("forked")
+    monkeypatch.setattr(os, "fork", refuse)
+    assert run_experiment(load_config(path, out_dir=tmp_path / "nofork")).outputs == outputs
+    for file in outputs:
+        text = (tmp_path / "nofork" / file).read_bytes()
+        assert text == (tmp_path / "fork" / file).read_bytes(), file
+        assert not file.endswith(".csv") or text.count(b"\n") > 8_192, file
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_children_do_not_fork_children(tmp_path, monkeypatch):
-    """On two CPUs, a sweep whose CSVs are long enough to split forks its two panel
-    children and nothing more: a child counts one usable CPU, so it writes its CSVs
-    in one process.  A simulation forks its segment child and its occupancy CSV's
-    part child, both from the calling process."""
+    """On two CPUs, a sweep forks its two panel children and nothing more: a child
+    counts one usable CPU.  A simulation forks one child, its later segment, from
+    the calling process."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(staterows, "PART_ROWS", 10)  # BASE's 91 rows make two parts
     monkeypatch.setattr(markov, "SEGMENT_STEPS", 1_000)  # BASE's 2000 steps make two segments
     log, fork = tmp_path / "forks", os.fork
 
@@ -929,52 +894,11 @@ def test_children_do_not_fork_children(tmp_path, monkeypatch):
     with markov._children() as fork_child:
         assert fork_child(markov._usable_cpus)() == 1
     log.unlink()
-    for name in ("sweep-alpha", "montecarlo"):
+    for name, forks in (("sweep-alpha", 2), ("montecarlo", 1)):
         path = write_cfg(tmp_path, BASE.replace("name = stationary", f"name = {name}"), f"{name}.cfg")
         run_experiment(load_config(path, out_dir=tmp_path / name))
-        assert log.read_text().split() == [str(os.getpid())] * 2, name
+        assert log.read_text().split() == [str(os.getpid())] * forks, name
         log.unlink()
-    assert no_child_processes()
-
-
-def split_leftovers(out: Path) -> list[str]:
-    """Part files in ``out``: any entry with ".part" in its name but a directory."""
-    return [p.name for p in out.iterdir() if ".part" in p.name and not p.is_dir()]
-
-
-def test_cli_unwritable_part_is_an_output_error(tmp_path, capsys, monkeypatch):
-    """A directory in the place of the first of two part files exits 6 with one error
-    line naming the part, and leaves neither the second part nor a child behind."""
-    monkeypatch.setattr(staterows, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(staterows, "PART_ROWS", 10)  # BASE's 91 rows make three parts
-    out = tmp_path / "out"
-    (out / "stationary.csv.part1").mkdir(parents=True)
-    assert main(["run", str(write_cfg(tmp_path)), "--out", str(out)]) == 6
-    assert capsys.readouterr().err == f"error: output: cannot write {out / 'stationary.csv.part1'}: Is a directory\n"
-    assert (out / "stationary.csv.part1").is_dir() and not split_leftovers(out)
-    assert no_child_processes()
-
-
-def test_cli_reports_a_killed_part_child_as_a_worker_error(tmp_path, capsys, monkeypatch):
-    """A part child SIGKILLed halfway through its file exits 5 with one error line,
-    and leaves no part file and no child behind."""
-    caller, write_lines = os.getpid(), staterows._write_lines
-
-    def killed(fh, rows):
-        if os.getpid() != caller:
-            fh.write("half a part\n")
-            fh.flush()
-            os.kill(os.getpid(), signal.SIGKILL)
-        write_lines(fh, rows)
-    monkeypatch.setattr(staterows, "_write_lines", killed)
-    monkeypatch.setattr(staterows, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(staterows, "PART_ROWS", 10)
-    out = tmp_path / "out"
-    assert main(["run", str(write_cfg(tmp_path)), "--out", str(out)]) == 5
-    err = capsys.readouterr().err
-    assert err.startswith("error: worker: ") and f"killed by signal {int(signal.SIGKILL)} " in err
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert not split_leftovers(out)
     assert no_child_processes()
 
 

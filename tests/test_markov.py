@@ -4,7 +4,8 @@ The solver checks lean on four independent oracles from ``oracles.py``:
 an exact rational solve of the neutral chain, an exact rational solve of
 any small float chain, stationary distributions by repeated squaring of
 the dense matrix, and the detailed-balance closed form for birth--death
-chains.  The sparse LU solve is a fifth, for chains too large for those.
+chains.  The sparse LU solve is a fifth, for chains too large for those,
+and the small-mutation limit a sixth, for the corners as mu -> 0.
 """
 
 import math
@@ -45,8 +46,8 @@ from coaldyn.markov import (
 )
 from coaldyn.sampling import fitness_at
 
-from oracles import (birth_death_pi, neutral_chain_exact, stationary_by_squaring, stationary_exact,
-                     stationary_longdouble)
+from oracles import (birth_death_pi, neutral_chain_exact, small_mutation_limit, stationary_by_squaring,
+                     stationary_exact, stationary_longdouble)
 
 SIGMOID = BenefitFunction.sigmoid()
 
@@ -403,6 +404,32 @@ def test_level_solve_is_entrywise_accurate_at_z_100(beta, mu):
     want = stationary_longdouble(model.index.i_c_of, model.index.i_d_of, model.move_probs, MOVE_DELTAS)
     pi = stationary(model).pi
     assert np.max(np.abs(pi - want) / want) < 5e-14
+
+
+@pytest.mark.parametrize("z", [30, 60, 100])
+def test_level_solve_corners_approach_the_small_mutation_limit(z):
+    """On criterion 6's game (sigmoid benefit, g_m = 5/z, beta = 0.1) at alpha 1 and 8,
+    the level solve's masses at all-C, all-D and all-O lie within 2e5 mu of
+    `oracles.small_mutation_limit`, at mu = 1e-10 and 1e-12.
+
+    The limit solves no system of the chain, so this checks the solve where pi
+    spans the most orders of magnitude.  The gap is first order in mu: the
+    largest measured, |gap| / mu, was 1.4e2 at z = 30, 1.0e3 at z = 60 and
+    1.3e5 at z = 100 (all at alpha = 1), the same at both mu.  No set of this
+    grid is left out.  At beta = 1 the limit is not reached by mu = 1e-14 at
+    z = 60, alpha = 1 and at z = 100, alpha <= 4: a coalition of about 25
+    cooperators and no defectors is metastable there, leaving it takes longer
+    than 1/mu steps, and the corner limit cannot show such a state (Wu,
+    Gokhale, Wang & Traulsen 2012, J. Math. Biol. 64).  So beta = 1 is not in
+    the grid.
+    """
+    for alpha in (1.0, 8.0):
+        for mu in (1e-10, 1e-12):
+            game = GameParams(z=z, g_m=5 / z, alpha=alpha, beta=0.1, mu=mu, benefit=SIGMOID)
+            model = build_chain(game)
+            corners = model.index.index_of(np.array([z, 0, 0]), np.array([0, z, 0]))
+            gap = stationary(model).pi[corners] - small_mutation_limit(game)
+            assert np.max(np.abs(gap)) < 2e5 * mu, (alpha, mu, gap)
 
 
 def test_solvers_on_birth_death_ladder():
